@@ -7,7 +7,8 @@ use crate::runner::evaluate_online;
 use crate::scale::{scale, seed};
 use vaq_core::{OnlineConfig, ParameterPolicy, UpdatePolicy};
 use vaq_datasets::youtube::{self, YoutubeSpec};
-use vaq_scanstats::{bursty_rates, critical_value, critical_value_markov, MarkovRates, ScanConfig};
+use vaq_scanstats::exact::MarkovRates;
+use vaq_scanstats::{bursty_rates, critical_value, critical_value_markov, ScanConfig};
 use vaq_types::{vocab, Query};
 
 /// SVAQD update-policy ablation (paper §3.3 leaves the refresh cadence

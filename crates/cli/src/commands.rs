@@ -786,6 +786,46 @@ mod tests {
     }
 
     #[test]
+    fn trace_before_an_untraced_command_is_a_usage_error() {
+        let dir = tmp("untraced");
+        let trace_path = dir.join("trace.jsonl");
+        let trace = trace_path.to_str().unwrap();
+        let repo = dir.join("repo");
+        let repo = repo.to_str().unwrap();
+        for argv in [
+            &["--trace", trace, "gen", "--kind", "youtube", "--out", repo][..],
+            &["--trace", trace, "info", "--repo", repo],
+            &["--trace", trace, "fsck", "--repo", repo],
+            &["--trace", trace, "query", "--repo", repo, "--sql", "x"],
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let failure = crate::run(&argv, &mut Vec::new()).unwrap_err();
+            assert!(matches!(failure, crate::Failure::Usage(_)), "{argv:?}");
+            let report = failure.report();
+            for traced in crate::TRACED_COMMANDS {
+                assert!(report.contains(traced), "{report}");
+            }
+            assert!(!trace_path.exists(), "{argv:?} created the trace file");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn trace_write_errors_fail_the_command() {
+        let argv: Vec<String> = ["--trace", "/dev/full", "demo", "--seed", "1", "--k", "2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let mut out = Vec::new();
+        let failure = crate::run(&argv, &mut out).unwrap_err();
+        let crate::Failure::Command(VaqError::Io(err)) = &failure else {
+            panic!("expected an I/O command failure, got {failure:?}");
+        };
+        assert!(err.to_string().contains("/dev/full"), "{err}");
+        assert!(!out.iter().any(|l| l.contains("trace written")), "{out:?}");
+    }
+
+    #[test]
     fn only_usage_errors_print_the_usage_text() {
         let fail = |argv: &[&str]| {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();

@@ -27,7 +27,11 @@ mod commands;
 
 pub use args::Args;
 
+use std::sync::Arc;
 use vaq_types::VaqError;
+
+/// The commands a leading `--trace` applies to: the ones that emit spans.
+const TRACED_COMMANDS: [&str; 4] = ["ingest", "stream", "serve-sim", "demo"];
 
 /// Usage text printed on `help` or argument errors.
 pub const USAGE: &str = "\
@@ -37,7 +41,8 @@ USAGE:
   vaq-cli [--trace <FILE>] <COMMAND> ...
 
   A leading `--trace <FILE>` streams every span the command emits as JSON
-  lines to FILE and prints a per-stage latency summary when done.
+  lines to FILE and prints a per-stage latency summary when done. It applies
+  to the commands that trace: ingest, stream, serve-sim and demo.
 
 COMMANDS:
   vaq-cli gen    --kind <youtube|movie|drift> [--id <q1|title>] --out <DIR>
@@ -67,10 +72,12 @@ EXIT CODES:
 #[derive(Debug)]
 pub enum Failure {
     /// The command line is wrong: arguments that do not parse, an unknown
-    /// command, or `--trace` without a path.
+    /// command, or `--trace` without a path or before a command that
+    /// writes no trace.
     Usage(VaqError),
-    /// A command ran and failed: I/O, a malformed or unsupported file, a
-    /// missing flag or value the command needs, a failed gate.
+    /// A command ran and failed: I/O (including spans the `--trace` file
+    /// could not take), a malformed or unsupported file, a missing flag or
+    /// value the command needs, a failed gate.
     Command(VaqError),
 }
 
@@ -99,32 +106,50 @@ impl From<Failure> for VaqError {
 /// failure the binary reports with [`Failure::report`] and maps to exit
 /// code 2.
 pub fn run(argv: &[String], out: &mut Vec<String>) -> std::result::Result<i32, Failure> {
-    // A leading `--trace <FILE>` applies to whatever command follows: spans
-    // stream to FILE as JSON lines and a summary table is printed at exit.
-    // It is peeled off here because `Args::parse` handles per-command flags
-    // only.
-    let (tracer, trace_path, argv) = if argv.first().is_some_and(|t| t == "--trace") {
+    // A leading `--trace <FILE>` applies to the traced command that
+    // follows: spans stream to FILE as JSON lines and a summary table is
+    // printed at exit. It is peeled off here because `Args::parse` handles
+    // per-command flags only.
+    let (trace_path, argv) = if argv.first().is_some_and(|t| t == "--trace") {
         let Some(path) = argv.get(1) else {
             return Err(Failure::Usage(VaqError::InvalidConfig(
                 "--trace needs a file path".into(),
             )));
         };
-        let sink = trace::JsonLinesSink::create(std::path::Path::new(path))
-            .map_err(|e| Failure::Command(e.into()))?;
-        (
-            trace::Tracer::new(trace::MonotonicClock::new(), sink),
-            Some(path.clone()),
-            &argv[2..],
-        )
+        (Some(path), &argv[2..])
     } else {
-        (trace::Tracer::disabled(), None, argv)
+        (None, argv)
     };
 
     let Some((command, rest)) = argv.split_first() else {
+        if trace_path.is_some() {
+            return Err(Failure::Usage(VaqError::InvalidConfig(
+                "--trace needs a command".into(),
+            )));
+        }
         out.push(USAGE.to_string());
         return Ok(0);
     };
     let args = Args::parse(rest).map_err(Failure::Usage)?;
+    // The caller keeps one handle on the sink to read its write errors
+    // once the command is done; the tracer owns the other.
+    let (tracer, sink) = match trace_path {
+        Some(path) => {
+            if !TRACED_COMMANDS.contains(&command.as_str()) {
+                return Err(Failure::Usage(VaqError::InvalidConfig(format!(
+                    "--trace applies only to {}; {command:?} writes no trace",
+                    TRACED_COMMANDS.join(", ")
+                ))));
+            }
+            let sink = Arc::new(
+                trace::JsonLinesSink::create(std::path::Path::new(path))
+                    .map_err(|e| Failure::Command(e.into()))?,
+            );
+            let tracer = trace::Tracer::new(trace::MonotonicClock::new(), Arc::clone(&sink));
+            (tracer, Some((path, sink)))
+        }
+        None => (trace::Tracer::disabled(), None),
+    };
     let result = match command.as_str() {
         "gen" => commands::gen(&args, out).map(|()| 0),
         "ingest" => commands::ingest(&args, out, &tracer).map(|()| 0),
@@ -144,13 +169,18 @@ pub fn run(argv: &[String], out: &mut Vec<String>) -> std::result::Result<i32, F
             ))))
         }
     };
-    if tracer.is_enabled() {
+    if let Some((path, sink)) = sink {
         tracer.flush();
         for line in tracer.snapshot().render_table().lines() {
             out.push(line.to_string());
         }
-        if let Some(path) = trace_path {
+        let errors = sink.write_errors();
+        if errors == 0 {
             out.push(format!("trace written to {path}"));
+        } else if result.is_ok() {
+            return Err(Failure::Command(VaqError::Io(std::io::Error::other(
+                format!("trace {path}: {errors} span write(s) failed"),
+            ))));
         }
     }
     result.map_err(Failure::Command)

@@ -29,7 +29,7 @@ use vaq_types::{conv, DurationUnit, Result, SequenceSet, VaqError};
 /// Maximum composition-tree depth accepted by [`evaluate`]; guards the
 /// recursive sweep against pathological (e.g. adversarially generated)
 /// plans. The parser produces shallow trees; this is a backstop.
-pub const MAX_COMPOSE_DEPTH: usize = 32;
+pub(crate) const MAX_COMPOSE_DEPTH: usize = 32;
 
 /// One node of a compiled composition tree. Leaves are indices into the
 /// slice of decided leaf sets handed to [`evaluate`] — the compiler
@@ -144,7 +144,7 @@ impl FromJson for ComposeNode {
 
 impl ComposeNode {
     /// Number of nodes in the tree (for telemetry).
-    pub fn node_count(&self) -> u64 {
+    pub(crate) fn node_count(&self) -> u64 {
         match self {
             ComposeNode::Leaf(_) => 1,
             ComposeNode::Not(inner) => 1 + inner.node_count(),
@@ -187,7 +187,7 @@ impl ComposeContext {
     /// Converts a duration predicate to its clip-granularity threshold:
     /// `Clips` passes through; `Shots` rounds up (`ceil(min / spc)`) so a
     /// run qualifies only if it spans at least `min` whole shots.
-    pub fn min_clips(&self, min: u64, unit: DurationUnit) -> u64 {
+    pub(crate) fn min_clips(&self, min: u64, unit: DurationUnit) -> u64 {
         match unit {
             DurationUnit::Clips => min,
             DurationUnit::Shots => {
@@ -200,7 +200,7 @@ impl ComposeContext {
 
 /// Evaluates a composition tree over the decided leaf sets. Pure and
 /// deterministic; errors on out-of-range leaf indices, childless
-/// operators, or a tree deeper than [`MAX_COMPOSE_DEPTH`].
+/// operators, or a tree deeper than `MAX_COMPOSE_DEPTH`.
 pub fn evaluate(
     node: &ComposeNode,
     leaves: &[SequenceSet],

@@ -127,36 +127,23 @@ impl Default for RetryPolicy {
 /// Elision requires [`DegradationPolicy::ImputeBackground`]: the bounds
 /// quantify over fault completions using the impute rule's edge-corrected
 /// bar, so the other degradation policies reject at validation.
+///
+/// An enabled planner probes an SVAQ window in bit-reversal (stratified)
+/// order wherever `ClipPlan::build` allows it, so early-reject bounds bind
+/// sooner on background clips; under SVAQD, and after a dry
+/// `FALLBACK_HORIZON`, it probes in stream order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Master switch; disabled planners probe every occurrence unit.
     pub enabled: bool,
-    /// Probe frames in bit-reversal (stratified) order under SVAQ so
-    /// early-reject bounds bind sooner on background clips. Ignored under
-    /// SVAQD, where events must feed the kernel estimator in stream order
-    /// (the budget layer falls back to sequential probing).
-    pub stratify: bool,
 }
 
 impl PlannerConfig {
     /// Elision disabled — the exhaustive engines of the paper.
-    pub const OFF: Self = Self {
-        enabled: false,
-        stratify: false,
-    };
+    pub const OFF: Self = Self { enabled: false };
 
     /// Elision enabled with adaptive stratified probing.
-    pub const ON: Self = Self {
-        enabled: true,
-        stratify: true,
-    };
-
-    /// Elision enabled but probing strictly in stream order — useful for
-    /// isolating bound-elision gains from probe-order gains.
-    pub const SEQUENTIAL: Self = Self {
-        enabled: true,
-        stratify: false,
-    };
+    pub const ON: Self = Self { enabled: true };
 }
 
 /// Configuration of the online engines.

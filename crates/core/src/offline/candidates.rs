@@ -3,7 +3,7 @@
 //! A clip can satisfy a query only if it lies in every queried type's
 //! individual sequences; the candidates are
 //! `P_q = P_a ⊗ P_{o_1} ⊗ … ⊗ P_{o_I}`, computed by the interval sweep in
-//! [`vaq_types::SequenceSet::intersect`]. [`CandidateIndex`] is the one
+//! [`vaq_types::SequenceSet::intersect`]. `CandidateIndex` is the one
 //! way the offline algorithms ask where a clip sits in `P_q`.
 
 use crate::offline::ingest::IngestOutput;

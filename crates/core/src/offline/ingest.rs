@@ -519,7 +519,7 @@ pub fn ingest_traced(
 ///
 /// **Determinism contract:** the output is bit-identical to [`ingest`] for
 /// any `threads >= 1`. Two properties make this hold: (a) per-clip
-/// floating-point accumulation happens inside [`scan_clips`] in the same
+/// floating-point accumulation happens inside `scan_clips` in the same
 /// frame/shot order regardless of which thread owns the clip, and (b) all
 /// order-sensitive state — background-rate estimators, evolving critical
 /// values, inference-cost sums — is updated only in the ordered merge
@@ -527,7 +527,7 @@ pub fn ingest_traced(
 /// stats field against the serial path at several thread counts.
 ///
 /// `tracker` is a *prototype*: each shard clones it so per-shard tracking
-/// state starts fresh at the shard boundary (see [`scan_clips`] for why the
+/// state starts fresh at the shard boundary (see `scan_clips` for why the
 /// accumulators do not depend on cross-shard track identity).
 ///
 /// Each shard records its own `ingest.shard` span (explicitly parented

@@ -16,9 +16,9 @@
 //!
 //! The *skip* mechanism (§4.3) grows `C_skip`: sequences whose upper bound
 //! falls below `B_lo^K` are conclusively out; sequences whose lower bound
-//! exceeds `B_up^¬K` are conclusively in (and, when exact scores are not
-//! required, their clips stop being accessed too). Disabling the mechanism
-//! yields the paper's RVAQ-noSkip baseline.
+//! exceeds `B_up^¬K` are conclusively in (and, under the elision planner,
+//! their clips stop being accessed until the final exact-score pass).
+//! Disabling the mechanism yields the paper's RVAQ-noSkip baseline.
 //!
 //! **A completion of the paper's bound bookkeeping.** Eqs. 13–14 as printed
 //! track top-processed clips only in the upper bound (`S_up/L_up`) and
@@ -73,13 +73,10 @@ pub struct RvaqOptions {
     pub k: usize,
     /// Whether the §4.3 skip mechanism is active (off = RVAQ-noSkip).
     pub skip_enabled: bool,
-    /// Whether to refine the chosen sequences to their exact scores (extra
-    /// random accesses on their remaining clips).
-    pub exact_scores: bool,
     /// The bound-driven elision planner (DESIGN.md §14): once a sequence is
-    /// decided conclusively *in*, its clips stop being score-completed even
-    /// when `exact_scores` is set — the exact-score refinement at the end
-    /// re-reads only whatever the scans have not revealed for free by then.
+    /// decided conclusively *in*, its clips stop being score-completed —
+    /// the exact-score refinement at the end re-reads only whatever the
+    /// scans have not revealed for free by then.
     /// Results are identical either way; only the access counts change.
     pub planner: bool,
     /// Sequences whose upper bound, plus a rounding margin of `len·ε` of
@@ -95,7 +92,6 @@ impl RvaqOptions {
         Self {
             k,
             skip_enabled: true,
-            exact_scores: true,
             planner: false,
             floor: f64::NEG_INFINITY,
         }
@@ -121,8 +117,8 @@ impl RvaqOptions {
 /// Result of a top-K run (any offline algorithm).
 #[derive(Debug, Clone)]
 pub struct TopKResult {
-    /// The K highest-scoring sequences, best first, with their scores
-    /// (exact when `exact_scores` was set, otherwise final lower bounds).
+    /// The K highest-scoring sequences, best first, with their exact
+    /// scores.
     pub sequences: Vec<(ClipInterval, f64)>,
     /// Access statistics accumulated during the run.
     pub stats: AccessStats,
@@ -211,9 +207,9 @@ pub fn rvaq_traced(
     let index = CandidateIndex::new(pq);
     let mut known = KnownClips::new(pq.total_clips());
     let mut top_set = Vec::with_capacity(k);
-    // Conclusively-in sequences join C_skip when their clips need no exact
-    // score (or the elision planner defers it to the final refinement).
-    let elide_in = !opts.exact_scores || opts.planner;
+    // Conclusively-in sequences join C_skip when the elision planner defers
+    // their clips' exact scores to the final refinement.
+    let elide_in = opts.planner;
     let mut top_frontier: Option<f64> = None;
     let mut btm_frontier: Option<f64> = None;
 
@@ -294,7 +290,7 @@ pub fn rvaq_traced(
     }
 
     // Select the K sequences with the highest lower bounds (exact at
-    // convergence), then optionally refine to exact scores.
+    // convergence), then refine them to exact scores.
     let mut order = Vec::with_capacity(states.len());
     order.extend((0..states.len()).filter(|&i| !states[i].decided_out));
     order.sort_by(|&a, &b| {
@@ -309,12 +305,7 @@ pub fn rvaq_traced(
         .into_iter()
         .map(|i| {
             let iv = states[i].interval;
-            let score = if opts.exact_scores {
-                exact_sequence_score(&mut tb, scoring, &iv)
-            } else {
-                states[i].b_lo
-            };
-            (iv, score)
+            (iv, exact_sequence_score(&mut tb, scoring, &iv))
         })
         .collect();
     sequences.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -516,17 +507,8 @@ mod tests {
             action: &a,
             objects: vec![&o],
         };
-        let opts_skip = RvaqOptions {
-            k: 1,
-            exact_scores: false,
-            ..RvaqOptions::new(1)
-        };
-        let opts_noskip = RvaqOptions {
-            skip_enabled: false,
-            ..opts_skip
-        };
-        let skip = rvaq(&tables, &pq, &PaperScoring, &opts_skip);
-        let noskip = rvaq(&tables, &pq, &PaperScoring, &opts_noskip);
+        let skip = rvaq(&tables, &pq, &PaperScoring, &RvaqOptions::new(1));
+        let noskip = rvaq(&tables, &pq, &PaperScoring, &RvaqOptions::no_skip(1));
         assert_eq!(skip.sequences[0].0, noskip.sequences[0].0);
         assert_eq!(skip.sequences[0].0, ClipInterval::new(0, 99));
         assert!(
@@ -544,15 +526,7 @@ mod tests {
             action: &a,
             objects: vec![&o],
         };
-        let got = rvaq(
-            &tables,
-            &pq,
-            &PaperScoring,
-            &RvaqOptions {
-                exact_scores: false,
-                ..RvaqOptions::new(1)
-            },
-        );
+        let got = rvaq(&tables, &pq, &PaperScoring, &RvaqOptions::new(1));
         // 40 clips × 2 tables = 80 would be exhaustive random access.
         assert!(
             got.stats.random < 80,
@@ -593,29 +567,6 @@ mod tests {
         );
         assert!(got.sequences.is_empty());
         assert_eq!(got.stats.random, 0);
-    }
-
-    #[test]
-    fn bound_scores_without_exact_are_lower_bounds() {
-        let (a, o, pq) = setup();
-        let tables = QueryTables {
-            action: &a,
-            objects: vec![&o],
-        };
-        let bound = rvaq(
-            &tables,
-            &pq,
-            &PaperScoring,
-            &RvaqOptions {
-                exact_scores: false,
-                ..RvaqOptions::new(2)
-            },
-        );
-        let exact = rvaq(&tables, &pq, &PaperScoring, &RvaqOptions::new(2));
-        for ((iv_b, s_b), (iv_e, s_e)) in bound.sequences.iter().zip(&exact.sequences) {
-            assert_eq!(iv_b, iv_e);
-            assert!(*s_b <= *s_e + 1e-9, "bound {s_b} exceeds exact {s_e}");
-        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! clips by the current top/bottom frontier score.
 //!
 //! [`PaperScoring`] is the instantiation the paper evaluates with
-//! (`h = Σ`, `g = S_a · Σ S_{o_i}`, `f = Σ`, `⊙ = +`); [`MaxScoring`]
-//! demonstrates that any conforming model drops in (`f = max`, `⊙ = max`).
+//! (`h = Σ`, `g = S_a · Σ S_{o_i}`, `f = Σ`, `⊙ = +`); the test-only
+//! `MaxScoring` demonstrates that any conforming model drops in
+//! (`f = max`, `⊙ = max`).
 
 /// A complete scoring model; see the module docs for the required
 /// properties of each component.
@@ -76,9 +77,11 @@ impl ScoringModel for PaperScoring {
 }
 
 /// An alternative conforming model: a sequence scores as its best clip.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaxScoring;
+pub(crate) struct MaxScoring;
 
+#[cfg(test)]
 impl ScoringModel for MaxScoring {
     fn h(&self, scores: &[f64]) -> f64 {
         scores.iter().copied().fold(0.0, f64::max)

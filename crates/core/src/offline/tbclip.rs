@@ -69,12 +69,12 @@ pub struct QueryTables<'t> {
 
 impl<'t> QueryTables<'t> {
     /// Number of tables (`I + 1`).
-    pub fn num_tables(&self) -> usize {
+    pub(crate) fn num_tables(&self) -> usize {
         1 + self.objects.len()
     }
 
     /// Longest table length (bounds the shared row stamp).
-    pub fn max_len(&self) -> usize {
+    pub(crate) fn max_len(&self) -> usize {
         self.objects
             .iter()
             .map(|t| t.len())
@@ -154,11 +154,11 @@ impl<'t> QueryTables<'t> {
 /// One iterator step: the next top and bottom clips (either side may be
 /// exhausted independently).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TbStep {
+pub(crate) struct TbStep {
     /// Highest-scoring unprocessed candidate, with its exact `S_q(c)`.
-    pub top: Option<ScoreRow>,
+    pub(crate) top: Option<ScoreRow>,
     /// Lowest-scoring unprocessed candidate.
-    pub btm: Option<ScoreRow>,
+    pub(crate) btm: Option<ScoreRow>,
 }
 
 /// Side index of the top (sorted-access) scan.
@@ -456,7 +456,7 @@ impl Side {
 }
 
 /// Iterator state (see module docs).
-pub struct TbClip<'t, 'q> {
+pub(crate) struct TbClip<'t, 'q> {
     tables: &'q QueryTables<'t>,
     scoring: &'q dyn ScoringModel,
     max_len: usize,
@@ -497,7 +497,7 @@ impl<'t, 'q> TbClip<'t, 'q> {
     /// clip through sorted/reverse access contribute their cached row
     /// score; only the remaining tables cost a random access each (used by
     /// both delivery scoring and RVAQ's exact-score finalization).
-    pub fn clip_score_cached(&mut self, clip: ClipId) -> f64 {
+    pub(crate) fn clip_score_cached(&mut self, clip: ClipId) -> f64 {
         let slot = self.slots.intern(clip);
         self.score_slot(slot)
     }

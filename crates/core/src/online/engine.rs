@@ -1,10 +1,10 @@
 //! The streaming engines SVAQ and SVAQD (paper Algorithms 1 and 3).
 //!
 //! One [`OnlineEngine`] implements both: with
-//! [`ParameterPolicy::Static`](crate::config::ParameterPolicy::Static) the
+//! [`ParameterPolicy::Static`] the
 //! background probabilities (and thus critical values) are fixed at their
 //! initial values for the whole stream — Algorithm 1, SVAQ. With
-//! [`ParameterPolicy::Dynamic`](crate::config::ParameterPolicy::Dynamic)
+//! [`ParameterPolicy::Dynamic`]
 //! every predicate owns a [`BackgroundRateEstimator`] fed by the per-OU
 //! prediction events, and critical values are recomputed from the current
 //! estimates as the stream evolves — Algorithm 3, SVAQD.
@@ -173,7 +173,7 @@ impl PredicateState {
     }
 }
 
-/// Serializable snapshot of one [`PredicateState`].
+/// Serializable snapshot of one `PredicateState`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredicateCheckpoint {
     p_current: f64,
@@ -328,7 +328,7 @@ pub struct OnlineEngine<'m> {
 impl<'m> OnlineEngine<'m> {
     /// One in this many short-circuited clips still runs the action
     /// recognizer for background estimation (see
-    /// [`Self::explore_action_background`]).
+    /// `Self::explore_action_background`).
     pub const EXPLORE_EVERY: u64 = 4;
 
     /// Builds an engine for `query` over videos with the given geometry,
@@ -415,11 +415,11 @@ impl<'m> OnlineEngine<'m> {
     /// Installs a tracer: every subsequent clip emits an `online.clip` span
     /// with decision fields plus `online.*` / `detect.*` counters derived
     /// from the per-clip [`InferenceStats`] deltas.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// Builder-style [`Self::set_tracer`].
+    /// Builder-style `Self::set_tracer`.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -621,7 +621,6 @@ impl<'m> OnlineEngine<'m> {
             0
         };
         ClipPlan::build(
-            self.config.planner,
             dynamic,
             conv::len_u64(clip.num_frames()),
             conv::len_u64(clip.num_shots()),
@@ -644,7 +643,7 @@ impl<'m> OnlineEngine<'m> {
     /// Gap clips recorded this way are indistinguishable in the result
     /// shape from fault-degraded clips: excluded from estimation, counted
     /// in `stats.clips_gapped`, negative in the indicator sequence.
-    pub fn push_gap(&mut self, clip: ClipId, reason: GapReason) {
+    pub(crate) fn push_gap(&mut self, clip: ClipId, reason: GapReason) {
         let n_obj = self.query.objects.len();
         self.stats.record_gap();
         self.gaps.push(GapMarker { clip, reason });
@@ -794,12 +793,6 @@ impl<'m> OnlineEngine<'m> {
     /// Cost accounting so far.
     pub fn stats(&self) -> &InferenceStats {
         &self.stats
-    }
-
-    /// The elision planner's budget ledger (all zeros while the planner is
-    /// disabled).
-    pub fn planner_budget(&self) -> &BudgetState {
-        &self.planner
     }
 
     /// Drains a stream to its end and returns the full result.

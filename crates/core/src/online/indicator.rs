@@ -26,7 +26,7 @@
 //!
 //! **Buffers, not answers.** The models append each answer to a buffer
 //! the caller owns ([`ObjectDetector::try_detect_traced`]): the
-//! [`EvalScratch`] holds one for detections and one for predictions, each
+//! `EvalScratch` holds one for detections and one for predictions, each
 //! cleared before every attempt, so a retried call never reads a failed
 //! attempt's entries (a fault appends nothing anyway). A clip's frames go
 //! through one frame scope ([`ObjectDetector::with_frames`]): the default
@@ -40,11 +40,11 @@
 //! SVAQD's estimators. Once their capacities have grown, a clip's
 //! evaluation allocates only the two vectors its clip record keeps.
 //!
-//! **One kernel, two probe modes.** [`evaluate_clip`] walks each window
+//! **One kernel, two probe modes.** `evaluate_clip` walks each window
 //! (the clip's frames, then its shots) in a single probe loop. A
-//! [`Probe::Exhaustive`] run probes every unit in stream order and degrades
-//! unrecovered faults per its [`DegradationPolicy`]. A [`Probe::Planned`]
-//! run follows a [`ClipPlan`]: it probes in the plan's order, stops a
+//! `Probe::Exhaustive` run probes every unit in stream order and degrades
+//! unrecovered faults per its [`DegradationPolicy`]. A `Probe::Planned`
+//! run follows a `ClipPlan`: it probes in the plan's order, stops a
 //! window once the reachability bounds settle every predicate sharing it,
 //! and imputes faults — the planner's soundness argument assumes the
 //! `ImputeBackground` rule (DESIGN.md §14).

@@ -20,7 +20,6 @@ pub use engine::{
     ClipRecord, EngineCheckpoint, GapMarker, OnlineEngine, OnlineResult, SharedScanCaches,
 };
 pub use indicator::GapReason;
-pub use planner::{BudgetState, ClipPlan, ProbeOrder};
 pub use service::{
     run_service, OverloadPolicy, QueryId, QuerySpec, ServiceConfig, ServiceEvent, ServiceHost,
     ServiceLimits, ServiceReport, StandingQueryService, TenantId,

@@ -17,19 +17,19 @@
 
 /// Planned clips to observe before concluding stratified probing is not
 /// paying for itself on this stream.
-pub const FALLBACK_HORIZON: u64 = 64;
+pub(crate) const FALLBACK_HORIZON: u64 = 64;
 
 /// Cumulative elision accounting for one engine's planner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetState {
+pub(crate) struct BudgetState {
     /// Clips evaluated through the planned path.
-    pub clips_planned: u64,
+    pub(crate) clips_planned: u64,
     /// Planned clips in which at least one model call was elided.
-    pub clips_elided: u64,
+    pub(crate) clips_elided: u64,
     /// Detector invocations elided across all planned clips.
-    pub frames_elided: u64,
+    pub(crate) frames_elided: u64,
     /// Recognizer invocations elided across all planned clips.
-    pub shots_elided: u64,
+    pub(crate) shots_elided: u64,
 }
 
 // Every counter reads zero when absent: checkpoints written before the
@@ -39,7 +39,7 @@ vaq_types::json_record!(BudgetState: #[default] clips_planned, #[default] clips_
 
 impl BudgetState {
     /// Folds one planned clip's outcome into the ledger.
-    pub fn record_clip(&mut self, frames_elided: u64, shots_elided: u64) {
+    pub(crate) fn record_clip(&mut self, frames_elided: u64, shots_elided: u64) {
         self.clips_planned += 1;
         if frames_elided > 0 || shots_elided > 0 {
             self.clips_elided += 1;
@@ -51,13 +51,8 @@ impl BudgetState {
     /// Whether stratified probe orders are still worth their bookkeeping:
     /// true until [`FALLBACK_HORIZON`] planned clips have passed without a
     /// single elision.
-    pub fn stratify_productive(&self) -> bool {
+    pub(crate) fn stratify_productive(&self) -> bool {
         self.clips_planned < FALLBACK_HORIZON || self.clips_elided > 0
-    }
-
-    /// Total elided model invocations recorded in the ledger.
-    pub fn elided_calls(&self) -> u64 {
-        self.frames_elided + self.shots_elided
     }
 }
 
@@ -74,7 +69,6 @@ mod tests {
         assert_eq!(b.clips_elided, 1);
         assert_eq!(b.frames_elided, 40);
         assert_eq!(b.shots_elided, 3);
-        assert_eq!(b.elided_calls(), 43);
     }
 
     #[test]

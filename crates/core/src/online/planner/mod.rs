@@ -17,53 +17,51 @@
 //!   injection. Zero-observation windows never decide, preserving typed
 //!   gap markers exactly.
 //! * **Estimator feed-safety** (SVAQD) is enforced through
-//!   [`ClipPlan::obj_min_accept`]: under the Dynamic policy a clip's event
+//!   `ClipPlan::obj_min_accept`: under the Dynamic policy a clip's event
 //!   vector feeds the background estimators only when its count stays
 //!   below the censor threshold, so the planner may stop probing only
 //!   when the observed count has *already reached* that threshold — the
 //!   exhaustive engine discards such vectors too, making the truncation
 //!   invisible. Certain-reject windows must still be probed to completion
-//!   under Dynamic ([`ClipPlan::allow_reject`] is false) because their
+//!   under Dynamic (`ClipPlan::allow_reject` is false) because their
 //!   full event vectors do feed the estimators.
 //! * **One pass per frame** is preserved: a frame's detector call is
 //!   elided only when *every* object predicate over that frame is
 //!   settled, mirroring the exhaustive evaluator's single shared detector
 //!   pass across the query's conjunction.
 //!
-//! The planner's only run-time state is the [`BudgetState`] ledger, which
-//! adapts the probe order ([`ProbeOrder`]) per clip and rides inside the
+//! The planner's only run-time state is the `BudgetState` ledger, which
+//! adapts the probe order (`ProbeOrder`) per clip and rides inside the
 //! engine checkpoint so resumed runs replan identically.
 
-pub mod budget;
-pub mod order;
+mod budget;
+mod order;
 
-pub use budget::{BudgetState, FALLBACK_HORIZON};
-pub use order::{ProbeIndices, ProbeOrder};
+pub(crate) use budget::BudgetState;
+pub(crate) use order::ProbeOrder;
 pub use vaq_scanstats::{verdict, Verdict};
-
-use crate::config::PlannerConfig;
 
 /// The planner's per-clip probing contract, fixed before the first model
 /// call of the clip: probe orders for both occurrence-unit kinds, which
 /// verdicts may stop a window early, and the minimum observed count an
 /// accept needs before truncation becomes estimator-invisible.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClipPlan {
+pub(crate) struct ClipPlan {
     /// Order in which the clip's frames are probed.
-    pub frame_order: ProbeOrder,
+    pub(crate) frame_order: ProbeOrder,
     /// Order in which the clip's shots are probed.
-    pub shot_order: ProbeOrder,
+    pub(crate) shot_order: ProbeOrder,
     /// Whether a certain-reject verdict may stop a window early. False
     /// under SVAQD: below-threshold event vectors feed the background
     /// estimators, so rejecting windows must be probed to completion.
-    pub allow_reject: bool,
+    pub(crate) allow_reject: bool,
     /// Per object predicate: minimum observed positives before a
     /// certain-accept may stop the window (the SVAQD censor threshold;
     /// zero under SVAQ, where no event vector is ever fed).
-    pub obj_min_accept: Vec<u64>,
+    pub(crate) obj_min_accept: Vec<u64>,
     /// The action predicate's minimum observed positives for an early
     /// accept.
-    pub act_min_accept: u64,
+    pub(crate) act_min_accept: u64,
 }
 
 impl ClipPlan {
@@ -77,8 +75,7 @@ impl ClipPlan {
     /// (`2·k ≤ window`), unless the [`BudgetState`] ledger has shown
     /// stratification unproductive on this stream.
     #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        config: PlannerConfig,
+    pub(crate) fn build(
         dynamic: bool,
         frames_total: u64,
         shots_total: u64,
@@ -88,9 +85,8 @@ impl ClipPlan {
         act_min_accept: u64,
         budget: &BudgetState,
     ) -> Self {
-        debug_assert!(config.enabled);
         debug_assert_eq!(obj_min_accept.len(), k_crit_obj.len());
-        let stratify = config.stratify && !dynamic && budget.stratify_productive();
+        let stratify = !dynamic && budget.stratify_productive();
         let k_obj_max = k_crit_obj.iter().copied().max().unwrap_or(0);
         let frame_order = if stratify && k_obj_max.saturating_mul(2) <= frames_total {
             ProbeOrder::Stratified
@@ -126,21 +122,12 @@ pub fn settled(v: Verdict, positives: u64, min_accept: u64, allow_reject: bool) 
 
 #[cfg(test)]
 mod tests {
+    use super::budget::FALLBACK_HORIZON;
     use super::*;
 
     #[test]
     fn dynamic_plans_are_sequential_and_never_reject_early() {
-        let plan = ClipPlan::build(
-            PlannerConfig::ON,
-            true,
-            50,
-            5,
-            &[2],
-            2,
-            vec![2],
-            2,
-            &BudgetState::default(),
-        );
+        let plan = ClipPlan::build(true, 50, 5, &[2], 2, vec![2], 2, &BudgetState::default());
         assert_eq!(plan.frame_order, ProbeOrder::Sequential);
         assert_eq!(plan.shot_order, ProbeOrder::Sequential);
         assert!(!plan.allow_reject);
@@ -150,7 +137,6 @@ mod tests {
     #[test]
     fn static_plans_stratify_only_roomy_windows() {
         let plan = ClipPlan::build(
-            PlannerConfig::ON,
             false,
             50,
             5,
@@ -166,17 +152,7 @@ mod tests {
         assert_eq!(plan.shot_order, ProbeOrder::Sequential);
         assert!(plan.allow_reject);
 
-        let tight = ClipPlan::build(
-            PlannerConfig::ON,
-            false,
-            50,
-            5,
-            &[26],
-            2,
-            vec![0],
-            0,
-            &BudgetState::default(),
-        );
+        let tight = ClipPlan::build(false, 50, 5, &[26], 2, vec![0], 0, &BudgetState::default());
         assert_eq!(tight.frame_order, ProbeOrder::Sequential);
         assert_eq!(tight.shot_order, ProbeOrder::Stratified);
     }
@@ -187,34 +163,7 @@ mod tests {
         for _ in 0..FALLBACK_HORIZON {
             budget.record_clip(0, 0);
         }
-        let plan = ClipPlan::build(
-            PlannerConfig::ON,
-            false,
-            50,
-            5,
-            &[3],
-            2,
-            vec![0],
-            0,
-            &budget,
-        );
-        assert_eq!(plan.frame_order, ProbeOrder::Sequential);
-        assert_eq!(plan.shot_order, ProbeOrder::Sequential);
-    }
-
-    #[test]
-    fn sequential_config_never_stratifies() {
-        let plan = ClipPlan::build(
-            PlannerConfig::SEQUENTIAL,
-            false,
-            50,
-            5,
-            &[1],
-            1,
-            vec![0],
-            0,
-            &BudgetState::default(),
-        );
+        let plan = ClipPlan::build(false, 50, 5, &[3], 2, vec![0], 0, &budget);
         assert_eq!(plan.frame_order, ProbeOrder::Sequential);
         assert_eq!(plan.shot_order, ProbeOrder::Sequential);
     }

@@ -17,7 +17,7 @@
 /// The order in which a planned evaluation probes a clip's occurrence
 /// units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOrder {
+pub(crate) enum ProbeOrder {
     /// Stream order `0, 1, 2, …` — the exhaustive engines' order.
     Sequential,
     /// Bit-reversal permutation: low-discrepancy coverage of the window.
@@ -26,7 +26,7 @@ pub enum ProbeOrder {
 
 impl ProbeOrder {
     /// The probe permutation over `0..n`: yields every index exactly once.
-    pub fn indices(self, n: usize) -> ProbeIndices {
+    pub(crate) fn indices(self, n: usize) -> ProbeIndices {
         let bits = if n <= 1 {
             0
         } else {
@@ -44,7 +44,7 @@ impl ProbeOrder {
 
 /// Iterator over a probe permutation; see [`ProbeOrder::indices`].
 #[derive(Debug, Clone)]
-pub struct ProbeIndices {
+pub(crate) struct ProbeIndices {
     n: usize,
     counter: usize,
     /// Smallest power of two `≥ n` (bit-reversal domain); indices past `n`

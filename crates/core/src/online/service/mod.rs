@@ -4,7 +4,7 @@
 //! This layer is the one driver for many queries over one stream: tenants
 //! submit and retire standing SVAQ/SVAQD queries while one clip stream
 //! plays (a fixed batch is every query submitted at tick 0), an
-//! [`AdmissionController`] enforces per-tenant quotas and global
+//! `AdmissionController` enforces per-tenant quotas and global
 //! capacity, and a bounded shed queue applies an explicit
 //! [`OverloadPolicy`] when arrivals outpace the (simulated) evaluator.
 //!
@@ -19,7 +19,7 @@
 //!    or churn — all engines share one [`InferenceCache`] through the
 //!    [`ServiceHost`].
 //! 2. **Bit-identical results**: an admitted query that is never shed
-//!    produces exactly the [`OnlineResult`] a standalone
+//!    produces exactly the `OnlineResult` a standalone
 //!    [`OnlineEngine`](crate::online::OnlineEngine) produces over the
 //!    same stream; the shed log and summary JSON are byte-identical for a
 //!    given seed.
@@ -43,15 +43,13 @@ mod registry;
 mod service;
 mod tenant;
 
-pub use registry::{CompositeSpec, QueryId, QueryRegistry, QuerySpec, StandingEntry};
+pub use registry::{CompositeSpec, QueryId, QuerySpec};
 pub use service::{
     AdmissionAction, AdmissionEvent, CompletedQuery, LatencySummary, OverloadPolicy,
     ServiceCheckpoint, ServiceConfig, ServiceHost, ServiceReport, ShedCause, ShedEvent,
     StandingQueryService, TenantSummary, WorkItem,
 };
-pub use tenant::{
-    query_weight, AdmissionController, RejectReason, ServiceLimits, TenantId, TenantQuota,
-};
+pub use tenant::{RejectReason, ServiceLimits, TenantId, TenantQuota};
 
 use vaq_types::Result;
 use vaq_video::{SceneScript, VideoStream};

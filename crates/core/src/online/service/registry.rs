@@ -72,7 +72,7 @@ vaq_types::json_record!(QuerySpec: tenant, query, priority, deadline_us, #[defau
 
 /// One admitted standing query's registry entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StandingEntry {
+pub(crate) struct StandingEntry {
     /// Submission identity.
     pub id: QueryId,
     /// The submission.
@@ -88,7 +88,7 @@ vaq_types::json_record!(StandingEntry: id, spec, weight, admitted_tick);
 /// Registry of currently-standing queries, keyed by [`QueryId`] so every
 /// iteration is in deterministic admission order.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryRegistry {
+pub(crate) struct QueryRegistry {
     entries: BTreeMap<QueryId, StandingEntry>,
     next_id: u64,
 }
@@ -103,7 +103,7 @@ impl QueryRegistry {
 
     /// Reserves the next submission id (every submission consumes one,
     /// admitted or rejected).
-    pub fn next_submission_id(&mut self) -> QueryId {
+    pub(crate) fn next_submission_id(&mut self) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         id
@@ -122,21 +122,6 @@ impl QueryRegistry {
     /// The standing entry for `id`, if admitted and not yet departed.
     pub fn get(&self, id: QueryId) -> Option<&StandingEntry> {
         self.entries.get(&id)
-    }
-
-    /// Number of standing queries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no queries are standing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Standing entries in admission order.
-    pub fn iter(&self) -> impl Iterator<Item = &StandingEntry> {
-        self.entries.values()
     }
 
     /// Standing ids in admission order (snapshot, for iteration while
@@ -174,7 +159,7 @@ mod tests {
             weight: 2,
             admitted_tick: 7,
         });
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.ids(), vec![c]);
         assert_eq!(r.get(b), None);
         assert_eq!(r.get(c).map(|e| e.admitted_tick), Some(7));
     }
@@ -191,7 +176,7 @@ mod tests {
                 admitted_tick: 0,
             });
         }
-        let order: Vec<u32> = r.iter().map(|e| e.spec.tenant.0).collect();
+        let order: Vec<u32> = r.entries.values().map(|e| e.spec.tenant.0).collect();
         assert_eq!(order, vec![5, 1, 9]);
         r.remove(QueryId(1));
         assert_eq!(r.ids(), vec![QueryId(0), QueryId(2)]);

@@ -184,7 +184,7 @@ vaq_types::json_unit_enum!(ShedCause: QueueFull, PriorityEvicted, Degraded, Dead
 
 impl ShedCause {
     /// The typed gap the owning engine records for this shed.
-    pub fn gap_reason(self) -> GapReason {
+    pub(crate) fn gap_reason(self) -> GapReason {
         match self {
             ShedCause::DeadlineExceeded => GapReason::DeadlineExceeded,
             _ => GapReason::Shed,
@@ -553,13 +553,6 @@ impl ServiceCheckpoint {
         checkpoint.format_version = vaq_types::format::effective_version(checkpoint.format_version);
         Ok(checkpoint)
     }
-
-    /// Smallest clip index still referenced by a queued item, if any —
-    /// the stream position a resuming driver must re-materialize clips
-    /// from.
-    pub fn min_queued_clip(&self) -> Option<u64> {
-        self.queued.iter().map(|w| w.clip).min()
-    }
 }
 
 /// Shared infrastructure every session borrows: the inference cache
@@ -634,12 +627,12 @@ impl<'m> ServiceHost<'m> {
     }
 
     /// Shared inference-cache counters so far.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Simulated duration of one tick (one clip of stream time), µs.
-    pub fn tick_us(&self) -> u64 {
+    pub(crate) fn tick_us(&self) -> u64 {
         self.geometry.frames_per_clip() * 1_000_000 / conv::u64_of(self.geometry.fps)
     }
 
@@ -669,8 +662,8 @@ impl<'m> ServiceHost<'m> {
     /// same configuration and stream. Engines are restored through
     /// [`OnlineEngine::restore`]; queued work is re-enqueued in FIFO
     /// order. The caller must re-prime clips still referenced by the
-    /// queue (see [`StandingQueryService::prime_clip`] and
-    /// [`ServiceCheckpoint::min_queued_clip`]).
+    /// queue (see `StandingQueryService::prime_clip`; the smallest
+    /// `clip` among the checkpoint's `queued` items is where to start).
     pub fn restore(&'m self, checkpoint: &ServiceCheckpoint) -> Result<StandingQueryService<'m>> {
         let mut session = self.session();
         session.registry = checkpoint.registry.clone();
@@ -767,11 +760,6 @@ impl<'m> StandingQueryService<'m> {
     /// Next tick to process.
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    /// Standing queries currently admitted.
-    pub fn standing(&self) -> usize {
-        self.registry.len()
     }
 
     /// Work items currently queued.
@@ -897,7 +885,7 @@ impl<'m> StandingQueryService<'m> {
 
     /// Re-materializes a clip a restored queue still references. Only
     /// clips named by queued items are retained.
-    pub fn prime_clip(&mut self, clip: &ClipView) {
+    pub(crate) fn prime_clip(&mut self, clip: &ClipView) {
         let idx = clip.id.raw();
         if self.queue.iter().any(|w| w.clip == idx) {
             self.clip_window.insert(idx, clip.clone());

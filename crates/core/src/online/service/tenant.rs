@@ -107,7 +107,7 @@ impl std::fmt::Display for RejectReason {
 /// predicates of one query, but per-predicate evaluation and recognizer
 /// exposure still scale with predicate count, so weight is the paper-
 /// faithful proxy for how much of the shared budget a query occupies.
-pub fn query_weight(query: &Query) -> u64 {
+pub(crate) fn query_weight(query: &Query) -> u64 {
     vaq_types::conv::len_u64(query.objects.len()) + 1
 }
 
@@ -127,7 +127,7 @@ vaq_types::json_record!(TenantUsage: standing, weight);
 /// and must pair every admission with a [`AdmissionController::release`]
 /// when the query retires.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     limits: ServiceLimits,
     usage: BTreeMap<TenantId, TenantUsage>,
     standing_total: u32,
@@ -147,23 +147,8 @@ impl AdmissionController {
         }
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> &ServiceLimits {
-        &self.limits
-    }
-
-    /// Standing queries currently admitted across all tenants.
-    pub fn standing_total(&self) -> u32 {
-        self.standing_total
-    }
-
-    /// Summed weight currently admitted across all tenants.
-    pub fn weight_total(&self) -> u64 {
-        self.weight_total
-    }
-
     /// The quota in force for `tenant` (override or default).
-    pub fn quota_for(&self, tenant: TenantId) -> TenantQuota {
+    pub(crate) fn quota_for(&self, tenant: TenantId) -> TenantQuota {
         self.limits
             .quotas
             .get(&tenant)
@@ -175,7 +160,7 @@ impl AdmissionController {
     /// first failing gate otherwise — gates are checked in a fixed order
     /// (global capacity, tenant count, tenant budget share) so rejection
     /// reasons are deterministic.
-    pub fn try_admit(&mut self, tenant: TenantId, weight: u64) -> Result<(), RejectReason> {
+    pub(crate) fn try_admit(&mut self, tenant: TenantId, weight: u64) -> Result<(), RejectReason> {
         if self.standing_total >= self.limits.max_standing
             || self.weight_total.saturating_add(weight) > self.limits.budget_units
         {
@@ -199,7 +184,7 @@ impl AdmissionController {
     }
 
     /// Returns a retired query's capacity to the pool.
-    pub fn release(&mut self, tenant: TenantId, weight: u64) {
+    pub(crate) fn release(&mut self, tenant: TenantId, weight: u64) {
         if let Some(usage) = self.usage.get_mut(&tenant) {
             usage.standing = usage.standing.saturating_sub(1);
             usage.weight = usage.weight.saturating_sub(weight);

@@ -9,10 +9,10 @@
 //!   where one action reliably precedes another within a bounded gap,
 //!   interleaved with solo episodes of either action (the negatives a
 //!   `THEN … WITHIN` query must reject).
-//! * [`regime_shift_script`] — *drift regime*: an abrupt mid-stream
+//! * `regime_shift_script` — *drift regime*: an abrupt mid-stream
 //!   base-rate swap between two actions, the shape `NOT` and duration
 //!   predicates discriminate on.
-//! * [`long_tail_script`] — *long-tail vocabulary*: one head object
+//! * `long_tail_script` — *long-tail vocabulary*: one head object
 //!   with high duty plus many rare tail objects that each accompany a
 //!   single episode, the shape `OR` over rare leaves is built for.
 //!
@@ -53,7 +53,7 @@ pub struct CompositeCase {
 }
 
 /// Composes per-leaf ground truths with the engine's own evaluator.
-pub fn composite_truth(
+pub(crate) fn composite_truth(
     script: &SceneScript,
     leaves: &[Query],
     root: &ComposeNode,
@@ -152,7 +152,7 @@ fn bursty_pair_script(
 /// Drift regime: in the first half `a` has high duty and `b` is rare;
 /// at the midpoint the base rates swap abruptly. Episode length is
 /// `ep_clips` clips; each query's objects cover its episodes.
-pub fn regime_shift_script(
+pub(crate) fn regime_shift_script(
     seed: u64,
     frames: u64,
     geometry: VideoGeometry,
@@ -196,7 +196,7 @@ pub fn regime_shift_script(
 /// Long-tail vocabulary: `action` episodes throughout; `head` covers
 /// most episodes; each object of `tail` accompanies exactly one episode
 /// (its only appearance in the video).
-pub fn long_tail_script(
+pub(crate) fn long_tail_script(
     seed: u64,
     frames: u64,
     geometry: VideoGeometry,

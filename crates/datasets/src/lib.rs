@@ -69,7 +69,7 @@ impl QuerySet {
 }
 
 /// Resolves a (action, objects) label pair against vocabularies.
-pub fn resolve_query(
+pub(crate) fn resolve_query(
     actions: &Vocabulary,
     objects_vocab: &Vocabulary,
     action: &str,

@@ -120,13 +120,6 @@ pub struct FaultWindow {
     pub end_clip: u64,
 }
 
-impl FaultWindow {
-    /// Whether `clip` falls inside the window.
-    pub fn contains(&self, clip: u64) -> bool {
-        self.start_clip <= clip && clip < self.end_clip
-    }
-}
-
 /// A complete seeded soak scenario.
 #[derive(Debug, Clone)]
 pub struct LoadSchedule {
@@ -398,8 +391,6 @@ mod tests {
         for w in &s.fault_windows {
             assert!(w.start_clip < w.end_clip);
             assert!(w.end_clip <= s.clips);
-            assert!(w.contains(w.start_clip));
-            assert!(!w.contains(w.end_clip));
         }
     }
 

@@ -18,7 +18,7 @@
 //! ## Determinism
 //!
 //! Detection outcomes are *pure functions* of `(model seed, frame/shot id,
-//! label)` via a splitmix64 hash ([`noise::DetRng`]) rather than a stateful
+//! label)` via a splitmix64 hash (`DetRng`) rather than a stateful
 //! RNG stream. This matters: Algorithm 2 short-circuits predicate
 //! evaluation, so different algorithms invoke the models on different
 //! subsets of frames — with a stateful RNG their noise would diverge and

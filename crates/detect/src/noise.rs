@@ -19,19 +19,19 @@ fn mix(mut z: u64) -> u64 {
 
 /// A deterministic per-(seed, site) uniform sampler.
 #[derive(Debug, Clone, Copy)]
-pub struct DetRng {
+pub(crate) struct DetRng {
     seed: u64,
 }
 
 impl DetRng {
     /// Creates a sampler with a model-level seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { seed }
     }
 
     /// A uniform `u64` for the keyed site.
     #[inline]
-    pub fn raw(&self, a: u64, b: u64, c: u64) -> u64 {
+    pub(crate) fn raw(&self, a: u64, b: u64, c: u64) -> u64 {
         self.at(a).raw(b, c)
     }
 
@@ -44,20 +44,20 @@ impl DetRng {
 
     /// A uniform draw in `[0, 1)` for the keyed site.
     #[inline]
-    pub fn uniform(&self, a: u64, b: u64, c: u64) -> f64 {
+    pub(crate) fn uniform(&self, a: u64, b: u64, c: u64) -> f64 {
         // 53 high bits → uniform double in [0,1).
         (self.raw(a, b, c) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A Bernoulli draw for the keyed site.
     #[inline]
-    pub fn bernoulli(&self, p: f64, a: u64, b: u64, c: u64) -> bool {
+    pub(crate) fn bernoulli(&self, p: f64, a: u64, b: u64, c: u64) -> bool {
         self.uniform(a, b, c) < p
     }
 
     /// A uniform draw in `[lo, hi)` for the keyed site.
     #[inline]
-    pub fn range(&self, lo: f64, hi: f64, a: u64, b: u64, c: u64) -> f64 {
+    pub(crate) fn range(&self, lo: f64, hi: f64, a: u64, b: u64, c: u64) -> f64 {
         lo + (hi - lo) * self.uniform(a, b, c)
     }
 }
@@ -121,7 +121,7 @@ impl ScoreDist {
 
     /// Samples the distribution at the keyed site.
     #[inline]
-    pub fn sample(&self, rng: &DetRng, a: u64, b: u64, c: u64) -> f64 {
+    pub(crate) fn sample(&self, rng: &DetRng, a: u64, b: u64, c: u64) -> f64 {
         let u1 = rng.uniform(a, b, c ^ 0x5151);
         let u2 = rng.uniform(a, b, c ^ 0xA3A3);
         let centered = (u1 + u2) - 1.0; // triangular on [-1, 1]

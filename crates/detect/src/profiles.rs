@@ -26,7 +26,7 @@ pub struct ObjectProfile {
     pub fp_score: ScoreDist,
     /// Maximum bounding-box jitter (normalized units) on true positives.
     pub bbox_jitter: f32,
-    /// Probability that a whole [`OBJ_BLOCK_FRAMES`]-frame block of an
+    /// Probability that a whole `OBJ_BLOCK_FRAMES`-frame block of an
     /// instance is undetectable (occlusion / small apparent size) — real
     /// detectors miss in bursts, not iid per frame, and burst misses are
     /// what fragments result sequences.
@@ -61,10 +61,10 @@ impl ActionProfile {
 }
 
 /// Length of a correlated-miss block for object detectors, frames.
-pub const OBJ_BLOCK_FRAMES: u64 = 30;
+pub(crate) const OBJ_BLOCK_FRAMES: u64 = 30;
 
 /// Length of a correlated-miss block for action recognizers, shots.
-pub const ACT_BLOCK_SHOTS: u64 = 2;
+pub(crate) const ACT_BLOCK_SHOTS: u64 = 2;
 
 /// Noise statistics of an action recognizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +79,7 @@ pub struct ActionProfile {
     pub pos_score: ScoreDist,
     /// Score distribution of false positives.
     pub fp_score: ScoreDist,
-    /// Probability that a whole [`ACT_BLOCK_SHOTS`]-shot block of an action
+    /// Probability that a whole `ACT_BLOCK_SHOTS`-shot block of an action
     /// occurrence goes unrecognized (viewpoint/motion-blur bursts).
     pub block_miss_rate: f64,
     /// Simulated inference latency per shot, milliseconds.

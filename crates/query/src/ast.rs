@@ -9,20 +9,20 @@ use vaq_types::DurationUnit;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     /// Items of the `SELECT` list.
-    pub select: Vec<SelectItem>,
+    pub(crate) select: Vec<SelectItem>,
     /// The `FROM (PROCESS …)` clause.
-    pub from: ProcessClause,
+    pub(crate) from: ProcessClause,
     /// The `WHERE` expression (boolean leaves plus temporal operators).
-    pub predicate: TemporalExpr,
+    pub(crate) predicate: TemporalExpr,
     /// `ORDER BY RANK(…)` presence.
-    pub order_by_rank: bool,
+    pub(crate) order_by_rank: bool,
     /// `LIMIT K`.
-    pub limit: Option<u64>,
+    pub(crate) limit: Option<u64>,
 }
 
 /// One `SELECT` list item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub(crate) enum SelectItem {
     /// `MERGE(clipID) [AS alias]` — the result-sequence projection.
     Merge {
         /// Optional `AS` alias.
@@ -34,25 +34,25 @@ pub enum SelectItem {
 
 /// `FROM (PROCESS <video> PRODUCE <field> [, <field> USING <Model>]…)`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProcessClause {
+pub(crate) struct ProcessClause {
     /// The processed video's name.
-    pub video: String,
+    pub(crate) video: String,
     /// Produced fields, e.g. `clipID`, `obj USING ObjectDetector`.
-    pub produce: Vec<ProduceItem>,
+    pub(crate) produce: Vec<ProduceItem>,
 }
 
 /// One `PRODUCE` item.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProduceItem {
+pub(crate) struct ProduceItem {
     /// Field name (`clipID`, `obj`, `act`, …).
-    pub field: String,
+    pub(crate) field: String,
     /// Model bound via `USING` (e.g. `ObjectDetector`), if any.
-    pub using: Option<String>,
+    pub(crate) using: Option<String>,
 }
 
 /// Boolean predicate expression over atoms.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Conjunction.
     And(Vec<Expr>),
     /// Disjunction.
@@ -63,7 +63,7 @@ pub enum Expr {
 
 /// Atomic predicates of the language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Atom {
+pub(crate) enum Atom {
     /// `act = 'label'`.
     ActionEquals(String),
     /// `obj.include('a', 'b', …)` (alias `obj.inc`).
@@ -86,7 +86,7 @@ pub enum Atom {
 /// [`TemporalExpr::or`] / [`TemporalExpr::and`] enforce this), so a
 /// legacy query is always `Leaf(expr)` and takes the classic DNF path.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TemporalExpr {
+pub(crate) enum TemporalExpr {
     /// A boolean expression decided per clip by the scan-statistic
     /// engines (the paper's core workload).
     Leaf(Expr),
@@ -121,7 +121,7 @@ impl TemporalExpr {
     /// Disjunction smart constructor: collapses an all-boolean operand
     /// list into a boolean `Leaf(Or)` and unwraps the single-operand case,
     /// keeping legacy queries on the classic DNF path.
-    pub fn or(mut parts: Vec<TemporalExpr>) -> TemporalExpr {
+    pub(crate) fn or(mut parts: Vec<TemporalExpr>) -> TemporalExpr {
         if parts.len() == 1 {
             return parts.remove(0);
         }
@@ -140,7 +140,7 @@ impl TemporalExpr {
     }
 
     /// Conjunction smart constructor; see [`TemporalExpr::or`].
-    pub fn and(mut parts: Vec<TemporalExpr>) -> TemporalExpr {
+    pub(crate) fn and(mut parts: Vec<TemporalExpr>) -> TemporalExpr {
         if parts.len() == 1 {
             return parts.remove(0);
         }
@@ -159,7 +159,7 @@ impl TemporalExpr {
     }
 
     /// The boolean expression of a non-composite tree, if any.
-    pub fn as_boolean(&self) -> Option<&Expr> {
+    pub(crate) fn as_boolean(&self) -> Option<&Expr> {
         match self {
             TemporalExpr::Leaf(e) => Some(e),
             _ => None,
@@ -365,7 +365,7 @@ impl Expr {
     /// Normalizes to disjunctive normal form: a list of conjunctions of
     /// atoms. The grammar produces shallow trees, so the blow-up is
     /// bounded in practice; pathological inputs are capped by the caller.
-    pub fn to_dnf(&self) -> Vec<Vec<Atom>> {
+    pub(crate) fn to_dnf(&self) -> Vec<Vec<Atom>> {
         match self {
             Expr::Atom(a) => vec![vec![a.clone()]],
             Expr::Or(es) => es.iter().flat_map(Expr::to_dnf).collect(),

@@ -8,7 +8,7 @@ use vaq_types::{Result, VaqError};
 
 /// A token kind plus its payload.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Keyword or identifier (uppercased keywords are matched by the
     /// parser; the original spelling is preserved here).
     Ident(String),
@@ -32,15 +32,15 @@ pub enum Tok {
 
 /// A token with its source offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
-    pub tok: Tok,
+    pub(crate) tok: Tok,
     /// Byte offset in the source string.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 /// Tokenizes the whole input (errors carry the byte offset).
-pub fn tokenize(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

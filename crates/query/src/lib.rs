@@ -17,8 +17,8 @@
 //! ORDER BY RANK(act, obj) LIMIT 5
 //! ```
 //!
-//! The pipeline is classic: [`lexer`] → [`parser`] (AST in [`ast`]) →
-//! [`plan`] (semantic validation against the model vocabularies, DNF
+//! The pipeline is classic: `lexer` → `parser` (AST in `ast`) →
+//! [`plan`](mod@plan) (semantic validation against the model vocabularies, DNF
 //! normalization of the `WHERE` clause, online/offline routing) → [`exec`]
 //! (drives [`vaq_core`]'s engines).
 //!
@@ -53,10 +53,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod ast;
+mod ast;
 pub mod exec;
-pub mod lexer;
-pub mod parser;
+mod lexer;
+mod parser;
 pub mod plan;
 
 pub use ast::Statement;

@@ -6,14 +6,14 @@ use vaq_types::{DurationUnit, Result, VaqError};
 
 /// The parser; create with [`Parser::new`], consume with
 /// [`Parser::parse_statement`].
-pub struct Parser {
+pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
 }
 
 impl Parser {
     /// Tokenizes the input.
-    pub fn new(src: &str) -> Result<Self> {
+    pub(crate) fn new(src: &str) -> Result<Self> {
         Ok(Self {
             tokens: tokenize(src)?,
             pos: 0,
@@ -87,7 +87,7 @@ impl Parser {
     }
 
     /// Parses a full statement and requires EOF afterwards.
-    pub fn parse_statement(&mut self) -> Result<Statement> {
+    pub(crate) fn parse_statement(&mut self) -> Result<Statement> {
         self.expect_kw("SELECT")?;
         let select = self.parse_select_list()?;
         self.expect_kw("FROM")?;

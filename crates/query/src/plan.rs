@@ -14,12 +14,12 @@ use vaq_types::query::SpatialRelation;
 use vaq_types::{conv, ActionType, ObjectType, Query, Result, VaqError, Vocabulary};
 
 /// Maximum DNF clauses accepted (guards against pathological nesting).
-pub const MAX_DISJUNCTS: usize = 16;
+pub(crate) const MAX_DISJUNCTS: usize = 16;
 
 /// Maximum distinct leaf conjunctions a composite plan may reference
 /// (each one is a full engine run; keep composite fan-out bounded the
 /// same way [`MAX_DISJUNCTS`] bounds the classic path).
-pub const MAX_COMPOSITE_LEAVES: usize = 16;
+pub(crate) const MAX_COMPOSITE_LEAVES: usize = 16;
 
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub struct ConjunctiveQuery {
 impl ConjunctiveQuery {
     /// Expands into paper-core [`Query`] values, one per action, sharing
     /// the object predicates. Relationship constraints ride on the first.
-    pub fn core_queries(&self) -> Vec<Query> {
+    pub(crate) fn core_queries(&self) -> Vec<Query> {
         self.actions
             .iter()
             .enumerate()

@@ -1,38 +1,9 @@
-//! Numerically careful binomial probability mass and distribution functions.
+//! The binomial pmf in log space.
 //!
 //! Naus's `Q₂`/`Q₃` formulas are combinations of binomial pmf/cdf terms
 //! `b(k; n, p)` and `F(r; n, p)` at small window sizes `n = w, w−1, w−2` but
 //! potentially extreme rates (`p` down to `1e-6` in the paper's Figure-2
 //! sweep), so everything is computed in log space.
-
-/// Natural log of `n!`, computed by direct summation (exact summation beats
-/// Stirling's approximation on accuracy at window-sized `n`).
-///
-/// Each call costs `n − 1` logarithms. Calling it per pmf term made it the
-/// hot spot of critical-value searches, so the Naus evaluation
-/// ([`crate::naus`]) instead tabulates `ln n!` once per search, by this
-/// same left fold.
-pub fn ln_factorial(n: u64) -> f64 {
-    (2..=n).map(|i| (i as f64).ln()).sum()
-}
-
-/// Natural log of the binomial coefficient `C(n, k)`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    assert!(k <= n, "ln_choose: k={k} > n={n}");
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
-/// Binomial pmf `b(k; n, p) = C(n,k) p^k (1-p)^(n-k)`.
-///
-/// Returns `0.0` for `k > n`. Handles the degenerate rates `p = 0` and
-/// `p = 1` exactly.
-pub fn binom_pmf(k: u64, n: u64, p: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&p), "p={p} outside [0,1]");
-    if k > n {
-        return 0.0;
-    }
-    pmf_from_ln_choose(ln_choose(n, k), k, n, p)
-}
 
 /// `b(k; n, p)` for `k ≤ n`, given `ln C(n, k)`. The one pmf expression,
 /// shared with the Naus binomial row so both round identically.
@@ -47,34 +18,12 @@ pub(crate) fn pmf_from_ln_choose(ln_choose: f64, k: u64, n: u64, p: f64) -> f64 
     ln.exp()
 }
 
-/// Binomial cdf `F(r; n, p) = P(Bin(n, p) ≤ r)`.
-///
-/// Accepts a *signed* `r` because Naus's formulas index terms like
-/// `F(k−5; …)` that go negative for small `k`; any negative `r` yields `0`.
-pub fn binom_cdf(r: i64, n: u64, p: f64) -> f64 {
-    let Ok(r) = u64::try_from(r) else {
-        return 0.0; // negative index: empty lower tail
-    };
-    if r >= n {
-        return 1.0;
-    }
-    // Always the lower tail: the pmfs `j = 0..=r`, summed in index order.
-    let direct: f64 = (0..=r).map(|k| binom_pmf(k, n, p)).sum();
-    direct.min(1.0)
-}
-
-/// Binomial pmf accepting a signed index (negative or `> n` ⇒ `0`), matching
-/// how Naus's formulas index `b(2k−r; w)` for varying `r`.
-pub fn binom_pmf_i(k: i64, n: u64, p: f64) -> f64 {
-    match u64::try_from(k) {
-        Ok(k) => binom_pmf(k, n, p),
-        Err(_) => 0.0,
-    }
-}
-
+// The log-space pmf/cdf building blocks live on as the test-only
+// reference evaluation (`crate::reference`), which the Naus rows are
+// checked against bit for bit; these tests pin that reference.
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::reference::{binom_cdf, binom_pmf, binom_pmf_i, ln_choose, ln_factorial};
     use vaq_types::rng::for_cases;
 
     #[test]

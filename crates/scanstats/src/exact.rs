@@ -19,13 +19,13 @@
 //! Because the DP transition probability may depend on the *previous* trial
 //! outcome (the lowest bit of the state), the same machinery directly
 //! supports first-order Markov-dependent Bernoulli trials
-//! ([`exact_scan_prob_markov`]), implementing the paper's footnote-7
+//! (`exact_scan_prob_markov`), implementing the paper's footnote-7
 //! extension.
 
 use vaq_types::conv;
 
 /// Largest window length accepted by the exact bitmask DP (`2^w` states).
-pub const MAX_EXACT_WINDOW: u64 = 20;
+pub(crate) const MAX_EXACT_WINDOW: u64 = 20;
 
 /// Success rates of a first-order two-state Markov chain over Bernoulli
 /// trials: the probability of a success depends on the previous trial.
@@ -53,7 +53,8 @@ impl MarkovRates {
     }
 
     /// Stationary success probability of the chain.
-    pub fn stationary(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn stationary(&self) -> f64 {
         let a = self.p_after_failure;
         let b = self.p_after_success;
         // π solves π = π·b + (1−π)·a.
@@ -79,7 +80,7 @@ pub fn exact_scan_prob(k: u64, w: u64, big_n: u64, p: f64) -> f64 {
 /// State: bitmask of the last `min(t, w)` outcomes (bit 0 = most recent
 /// trial). Once any full window accumulates `≥ k` successes the probability
 /// mass moves to an absorbing "hit" accumulator.
-pub fn exact_scan_prob_markov(k: u64, w: u64, big_n: u64, rates: MarkovRates) -> f64 {
+pub(crate) fn exact_scan_prob_markov(k: u64, w: u64, big_n: u64, rates: MarkovRates) -> f64 {
     assert!(w >= 1, "window must be positive");
     assert!(
         w <= MAX_EXACT_WINDOW,
@@ -210,7 +211,7 @@ mod tests {
         // N == w: exactly one window, so P(S ≥ k) = P(Bin(w,p) ≥ k).
         let (k, w, p) = (3u64, 6u64, 0.3f64);
         let dp = exact_scan_prob(k, w, w, p);
-        let tail: f64 = (k..=w).map(|j| crate::binomial::binom_pmf(j, w, p)).sum();
+        let tail: f64 = (k..=w).map(|j| crate::reference::binom_pmf(j, w, p)).sum();
         assert!((dp - tail).abs() < 1e-12, "dp={dp} tail={tail}");
     }
 

@@ -30,7 +30,7 @@
 //! The initialization probability `p₀` enters as a *prior pseudo-history*:
 //! one kernel volume (`u` occurrence units) of virtual observations at rate
 //! `p₀`. Its weight decays geometrically as real data arrives — which is
-//! precisely how SVAQD "eliminate[s] the influence of `p_obj₀` naturally"
+//! precisely how SVAQD "eliminate\[s\] the influence of `p_obj₀` naturally"
 //! (paper §3.3).
 
 use vaq_types::{Result, VaqError};

@@ -42,7 +42,7 @@
 )]
 #![warn(missing_docs)]
 
-pub mod binomial;
+mod binomial;
 pub mod critical;
 pub mod exact;
 pub mod kernel;
@@ -53,7 +53,6 @@ pub mod reachability;
 mod reference;
 
 pub use critical::{critical_value, critical_value_checked, CriticalValueCache, ScanConfig};
-pub use exact::{exact_scan_prob_markov, MarkovRates};
 pub use kernel::{BackgroundRateEstimator, EstimatorCheckpoint};
 pub use markov::{bursty_rates, critical_value_markov};
 pub use naus::scan_prob;

@@ -36,13 +36,15 @@ use vaq_types::conv::capacity_hint;
 ///
 /// Result is clamped to `[0, 1]` to absorb floating-point noise at extreme
 /// parameters.
-pub fn q2(k: u64, w: u64, p: f64) -> f64 {
+#[cfg(test)]
+fn q2(k: u64, w: u64, p: f64) -> f64 {
     debug_assert!(w >= 1);
     BinomialRow::new(w, p).q2(k)
 }
 
 /// Exact `Q₃ = P(S_w(3w) < k)` under iid Bernoulli(`p`) trials.
-pub fn q3(k: u64, w: u64, p: f64) -> f64 {
+#[cfg(test)]
+fn q3(k: u64, w: u64, p: f64) -> f64 {
     debug_assert!(w >= 1);
     BinomialRow::new(w, p).q3(k)
 }
@@ -67,11 +69,11 @@ pub fn scan_prob(k: u64, w: u64, big_n: u64, p: f64) -> f64 {
 ///
 /// A critical-value search builds one row per `p` and evaluates every
 /// `scan_prob` probe against it, so each probe costs O(k) lookups instead
-/// of O(k²·w) logarithms. Every entry is computed by the operations
-/// [`crate::binomial::binom_pmf`] and [`crate::binomial::binom_cdf`]
-/// perform, in the same order: `ln n!` by the same left fold as
-/// [`crate::binomial::ln_factorial`], and `F(r)` by the same running sum
-/// over `j = 0..=r`. So every value is bit-identical to theirs.
+/// of O(k²·w) logarithms. Every entry is computed by the operations the
+/// direct evaluation (the test-only `reference::binom_pmf` and
+/// `reference::binom_cdf`) performs, in the same order: `ln n!` by the same
+/// left fold as `reference::ln_factorial`, and `F(r)` by the same running
+/// sum over `j = 0..=r`. So every value is bit-identical to theirs.
 #[derive(Debug)]
 pub(crate) struct BinomialRow {
     w: u64,

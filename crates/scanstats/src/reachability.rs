@@ -45,13 +45,6 @@ pub enum Verdict {
     Undecided,
 }
 
-impl Verdict {
-    /// Whether the verdict is final (accept or reject).
-    pub fn is_decided(self) -> bool {
-        !matches!(self, Verdict::Undecided)
-    }
-}
-
 /// Edge-corrected critical value for a scan window truncated to `observed`
 /// of `total` occurrence units: the event-count bar shrinks proportionally
 /// (never below 1). With the full window observed this is exactly `k`.
@@ -212,7 +205,7 @@ mod tests {
                     for observed in 0..=attempted {
                         for positives in 0..=observed {
                             let v = verdict(k, total, attempted, observed, positives);
-                            if !v.is_decided() {
+                            if v == Verdict::Undecided {
                                 continue;
                             }
                             // Outcomes for one more probe: fault, negative,

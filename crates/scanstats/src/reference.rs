@@ -4,7 +4,8 @@
 //! `ln n!` directly, every `F(r; n, p)` re-summed `r + 1` pmfs, and `Q₃`
 //! looped over `k` cdfs — O(k²·w) logarithms per `scan_prob`. This module
 //! is that code, unchanged but for crate-private visibility; the tests
-//! assert that the public `q2`, `q3` and `scan_prob` match it bit for bit.
+//! assert that the row-based `q2`, `q3` and `scan_prob` match it bit for
+//! bit.
 
 /// Natural log of `n!`, computed by direct summation (windows are small —
 /// hundreds of trials at most — so the O(n) cost is irrelevant and exact

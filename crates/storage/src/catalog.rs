@@ -6,7 +6,7 @@
 //! indicators). A [`VideoCatalog`] is that materialization on disk: one
 //! file, `<dir>/catalog.vaq`, holding the video's name, frame count and
 //! geometry, a directory of its tables, every type's sequences, and each
-//! table's rows in score order (layout in [`crate::file`]).
+//! table's rows in score order (layout in the crate-private `file` module).
 //! [`CatalogWriter::finish`] commits the file with one crash-atomic write,
 //! so a directory holds either no catalog or a whole one.
 //!

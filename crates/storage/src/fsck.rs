@@ -31,7 +31,7 @@ pub enum FsckStatus {
 
 impl FsckStatus {
     /// Whether this status represents a problem.
-    pub fn is_problem(&self) -> bool {
+    fn is_problem(&self) -> bool {
         !matches!(self, FsckStatus::Clean)
     }
 }
@@ -63,11 +63,6 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
-    /// Whether every check passed.
-    pub fn is_clean(&self) -> bool {
-        self.entries.iter().all(|e| !e.status.is_problem())
-    }
-
     /// The entries that found a problem.
     pub fn problems(&self) -> Vec<&FsckEntry> {
         self.entries
@@ -244,7 +239,7 @@ mod tests {
         let dir = tmpdir("clean");
         build_catalog(&dir);
         let report = fsck_catalog(&dir).unwrap();
-        assert!(report.is_clean(), "{:?}", report.problems());
+        assert!(report.problems().is_empty(), "{:?}", report.problems());
         assert_eq!(report.entries.len(), 1);
         assert_eq!(report.entries[0].path, dir.join(FILE_NAME));
     }
@@ -277,7 +272,7 @@ mod tests {
         build_catalog(&dir);
         fs::write(dir.join(FILE_NAME), b"{truncated").unwrap();
         let report = fsck_catalog(&dir).unwrap();
-        assert!(!report.is_clean());
+        assert!(!report.problems().is_empty());
         assert!(matches!(report.entries[0].status, FsckStatus::Corrupt(_)));
     }
 

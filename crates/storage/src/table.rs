@@ -43,13 +43,13 @@ pub(crate) fn score_order(a: &ScoreRow, b: &ScoreRow) -> std::cmp::Ordering {
 /// every read. Simulated I/O time is derived from the counts (see
 /// [`AccessCounters::snapshot`]).
 #[derive(Debug, Default)]
-pub struct AccessCounters {
+pub(crate) struct AccessCounters {
     sorted: AtomicU64,
     reverse: AtomicU64,
     random: AtomicU64,
 }
 
-/// A point-in-time snapshot of [`AccessCounters`].
+/// A point-in-time snapshot of `AccessCounters`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Sorted (top-down) scan steps.
@@ -61,7 +61,7 @@ pub struct AccessStats {
     /// Random row lookups *avoided* by a skip predicate: a seen clip was
     /// passed without the completing lookups its scoring would have cost.
     /// Tables never observe skips, so this is filled in by the consumer
-    /// (TBClip) rather than by [`AccessCounters`].
+    /// (TBClip) rather than by `AccessCounters`.
     pub elided: u64,
     /// Simulated I/O time, nanoseconds.
     pub simulated_ns: u64,
@@ -165,7 +165,7 @@ pub trait ClipScoreTable: Send + Sync {
 ///
 /// The rows are immutable and shared: handles on the same table (see
 /// [`crate::VideoCatalog::table`]) hold one copy of them, while each handle
-/// keeps its own [`AccessCounters`], so a handle's [`ClipScoreTable::stats`]
+/// keeps its own `AccessCounters`, so a handle's [`ClipScoreTable::stats`]
 /// count only the accesses made through it.
 #[derive(Debug)]
 pub struct MemTable {

@@ -72,7 +72,8 @@ impl MockClock {
     }
 
     /// Advances the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
+    #[cfg(test)]
+    pub(crate) fn advance(&self, ns: u64) {
         self.now.fetch_add(ns, Ordering::SeqCst);
     }
 

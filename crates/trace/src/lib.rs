@@ -15,7 +15,7 @@
 //!   id ([`Tracer::span_with_parent`]) for cross-thread attribution (e.g.
 //!   parallel ingestion shards).
 //! * **Counters and histograms** ([`Tracer::counter_add`],
-//!   [`metrics::Histogram`]): sharded counters plus log2-bucketed duration
+//!   `Histogram`): sharded counters plus log2-bucketed duration
 //!   histograms with p50/p95/p99 readout; every finished span feeds the
 //!   histogram named after it.
 //! * **Pluggable sinks** ([`Sink`]): [`NullSink`] (overhead measurement),
@@ -54,8 +54,8 @@ pub mod record;
 pub mod sink;
 
 pub use clock::{Clock, MockClock, MonotonicClock};
-pub use metrics::{Histogram, HistogramSnapshot, ShardedCounter, TraceSummary};
-pub use record::{escape_json, render_tree, FieldValue, SpanRecord};
+pub use metrics::{HistogramSnapshot, TraceSummary};
+pub use record::{render_tree, FieldValue, SpanRecord};
 pub use sink::{JsonLinesSink, MemorySink, NullSink, Sink};
 
 use std::cell::RefCell;
@@ -116,11 +116,6 @@ impl Tracer {
     /// Whether this tracer records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The injected clock's reading, or 0 when disabled.
-    pub fn now_ns(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
     /// Opens a span parented under the innermost span this tracer has open
@@ -309,7 +304,6 @@ mod tests {
     fn disabled_tracer_is_inert() {
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
-        assert_eq!(t.now_ns(), 0);
         let mut s = span!(&t, "x", "k" = 1u64);
         s.record("more", "y");
         assert_eq!(s.id(), None);

@@ -1,16 +1,16 @@
 //! Counters and duration histograms.
 //!
-//! * [`ShardedCounter`] — monotone event counters, sharded across 16
+//! * `ShardedCounter` — monotone event counters, sharded across 16
 //!   cache-line slots so concurrent increments from ingestion shards and
 //!   multi-query workers rarely contend. Totals are exact (summing shards),
 //!   only the shard an increment lands on is thread-dependent.
-//! * [`Histogram`] — log2-bucketed duration histogram with p50/p95/p99
+//! * `Histogram` — log2-bucketed duration histogram with p50/p95/p99
 //!   readout. The tracer records every finished span's duration into the
 //!   histogram named after the span, so per-stage tail latency falls out of
 //!   the span taxonomy for free.
 //!
-//! Both are registered on demand in a [`Metrics`] registry keyed by static
-//! name; [`Metrics::snapshot`] freezes everything into a [`TraceSummary`]
+//! Both are registered on demand in a `Metrics` registry keyed by static
+//! name; `Metrics::snapshot` freezes everything into a [`TraceSummary`]
 //! with canonical (sorted-key) JSON rendering.
 
 use std::cell::Cell;
@@ -41,7 +41,7 @@ fn shard_index() -> usize {
 
 /// A monotone `u64` counter sharded across [`SHARDS`] atomic slots.
 #[derive(Debug)]
-pub struct ShardedCounter {
+pub(crate) struct ShardedCounter {
     shards: [AtomicU64; SHARDS],
 }
 
@@ -78,7 +78,7 @@ const BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of nanosecond durations.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }

@@ -84,7 +84,7 @@ impl FieldValue {
 }
 
 /// Escapes a string for embedding inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -118,11 +118,6 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// Span duration (saturating, in case a mock clock jumped backwards).
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-
     /// One-line canonical JSON object for JSONL sinks.
     pub fn to_json(&self) -> String {
         let parent = match self.parent {
@@ -265,7 +260,6 @@ mod tests {
             "{\"id\":2,\"parent\":1,\"name\":\"detect.frame\",\"start_ns\":10,\
              \"end_ns\":25,\"fields\":{\"provenance\":\"cached\"}}"
         );
-        assert_eq!(r.duration_ns(), 15);
     }
 
     #[test]

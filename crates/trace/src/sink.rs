@@ -30,6 +30,19 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
+/// A shared sink: the caller keeps a handle (to read a sink's own
+/// counters, such as [`JsonLinesSink::write_errors`]) while the tracer owns
+/// another.
+impl<S: Sink + ?Sized> Sink for Arc<S> {
+    fn record_span(&self, span: &SpanRecord) {
+        (**self).record_span(span);
+    }
+
+    fn flush(&self) {
+        (**self).flush();
+    }
+}
+
 /// Discards all spans.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;

@@ -55,24 +55,6 @@ pub fn u64_of(n: u32) -> u64 {
     u64::from(n)
 }
 
-/// A non-negative simulated duration in milliseconds as integer
-/// microseconds, rounding half-up. The service layer's simulated-time
-/// accounting is integer microseconds precisely so that ordering and
-/// accumulation are exact; this is the one sanctioned float → integer
-/// crossing. NaN and negative inputs clamp to zero, values beyond
-/// `u64::MAX` µs saturate.
-#[inline]
-pub fn micros_of_ms(ms: f64) -> u64 {
-    let us = (ms * 1_000.0).round();
-    if us.is_nan() || us < 0.0 {
-        return 0;
-    }
-    if us >= u64::MAX as f64 {
-        return u64::MAX;
-    }
-    us as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,16 +77,6 @@ mod tests {
         assert_eq!(index(7), Some(7));
         #[cfg(target_pointer_width = "64")]
         assert_eq!(index(u64::MAX), Some(u64::MAX as usize));
-    }
-
-    #[test]
-    fn micros_of_ms_rounds_clamps_and_saturates() {
-        assert_eq!(micros_of_ms(1.5), 1500);
-        assert_eq!(micros_of_ms(0.0004), 0);
-        assert_eq!(micros_of_ms(0.0006), 1);
-        assert_eq!(micros_of_ms(-3.0), 0);
-        assert_eq!(micros_of_ms(f64::NAN), 0);
-        assert_eq!(micros_of_ms(f64::INFINITY), u64::MAX);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl BBox {
 
     /// Box area.
     #[inline]
-    pub fn area(&self) -> f32 {
+    fn area(&self) -> f32 {
         (self.x1 - self.x0) * (self.y1 - self.y0)
     }
 
@@ -55,7 +55,7 @@ impl BBox {
     }
 
     /// Area of the overlap with `other` (zero if disjoint).
-    pub fn intersection_area(&self, other: &Self) -> f32 {
+    fn intersection_area(&self, other: &Self) -> f32 {
         let w = (self.x1.min(other.x1) - self.x0.max(other.x0)).max(0.0);
         let h = (self.y1.min(other.y1) - self.y0.max(other.y0)).max(0.0);
         w * h

@@ -10,9 +10,9 @@
 //!
 //! The `⊗` operator of §4.2 (intersection of individual sequences) is
 //! implemented both as an `O(n)` merge-sweep over sorted endpoints
-//! ([`SequenceSet::intersect`], the paper's "interval sweep") and as a
-//! clip-set oracle ([`SequenceSet::intersect_naive`]) used to cross-validate
-//! the sweep in property tests.
+//! ([`SequenceSet::intersect`], the paper's "interval sweep"); a test-only
+//! clip-set oracle, `intersect_naive`, cross-validates the sweep in property
+//! tests.
 
 use crate::ids::ClipId;
 use std::fmt;
@@ -73,13 +73,6 @@ impl ClipInterval {
     #[inline]
     pub fn overlaps(&self, other: &Self) -> bool {
         self.start <= other.end && other.start <= self.end
-    }
-
-    /// Whether the two intervals are disjoint but touch (e.g. `[0,2]` and
-    /// `[3,5]`): their union is a single contiguous run.
-    #[inline]
-    pub fn adjacent(&self, other: &Self) -> bool {
-        self.end.raw() + 1 == other.start.raw() || other.end.raw() + 1 == self.start.raw()
     }
 
     /// The overlapping part of two intervals, if any.
@@ -244,8 +237,9 @@ impl SequenceSet {
     }
 
     /// Clip-set-based oracle for [`Self::intersect`]; `O(total clips)`.
-    /// Exists to cross-validate the sweep in tests and property tests.
-    pub fn intersect_naive(&self, other: &Self) -> Self {
+    /// Exists to cross-validate the sweep in property tests.
+    #[cfg(test)]
+    fn intersect_naive(&self, other: &Self) -> Self {
         let clips_b: std::collections::HashSet<ClipId> = other.clips().collect();
         let max = self
             .intervals
@@ -416,14 +410,6 @@ mod tests {
         // [0,5] vs [3,8]: inter 3 clips, union 9 clips.
         let got = iv(0, 5).iou(&iv(3, 8));
         assert!((got - 3.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interval_adjacency() {
-        assert!(iv(0, 2).adjacent(&iv(3, 5)));
-        assert!(iv(3, 5).adjacent(&iv(0, 2)));
-        assert!(!iv(0, 2).adjacent(&iv(4, 5)));
-        assert!(!iv(0, 2).adjacent(&iv(2, 5))); // overlapping, not adjacent
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use error::{Result, VaqError};
 pub use geometry::BBox;
 pub use ids::{ActionType, ClipId, FrameId, ObjectType, ShotId, TrackId, VideoId};
 pub use interval::{ClipInterval, SequenceSet};
-pub use query::{DurationUnit, Predicate, Query, QueryBuilder};
+pub use query::{DurationUnit, Query};
 pub use timing::VideoGeometry;
 pub use vocab::{Vocabulary, VocabularyKind};

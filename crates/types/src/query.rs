@@ -7,12 +7,10 @@
 //! sequentially and short-circuits (Algorithm 2, lines 6–8), with the order
 //! "determined based on user expertise" (footnote 5).
 //!
-//! The extensions sketched in the paper's footnotes are also modeled:
-//! multiple actions (footnote 3) via extra [`Predicate::Action`] conjuncts,
-//! and relationship constraints (footnote 2) via
-//! [`Predicate::Relationship`]. Disjunctions (footnote 4) are handled one
-//! level up, in `vaq-query`, by compiling to conjunctive normal form over
-//! these predicates.
+//! Relationship constraints (footnote 2) are modeled too, as
+//! [`Query::relationships`]. Disjunctions (footnote 4) are handled one
+//! level up, in `vaq-query`, by compiling to disjunctive normal form over
+//! conjunctive queries.
 
 use crate::error::{Result, VaqError};
 use crate::ids::{ActionType, ObjectType};
@@ -34,24 +32,6 @@ pub enum SpatialRelation {
 }
 
 crate::json_unit_enum!(SpatialRelation: LeftOf, RightOf, Above, Below, Overlapping);
-
-/// One atomic query predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Predicate {
-    /// Presence of an object type on frames of the clip.
-    Object(ObjectType),
-    /// Presence of an action category on shots of the clip.
-    Action(ActionType),
-    /// A spatial relationship between two object types (extension).
-    Relationship {
-        /// The subject object type.
-        subject: ObjectType,
-        /// The relationship.
-        relation: SpatialRelation,
-        /// The object (in the grammatical sense) object type.
-        object: ObjectType,
-    },
-}
 
 /// The unit of a composite duration predicate (`FOR AT LEAST d …`).
 ///
@@ -98,18 +78,6 @@ impl Query {
         Self::new(action, Vec::new())
     }
 
-    /// Number of object predicates `I`.
-    #[inline]
-    pub fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Total predicate count (action + objects + relationships).
-    #[inline]
-    pub fn num_predicates(&self) -> usize {
-        1 + self.objects.len() + self.relationships.len()
-    }
-
     /// Validates structural invariants: no duplicate object predicates
     /// (a duplicate conjunct is almost certainly a query-authoring bug) and
     /// relationship endpoints drawn from the queried objects.
@@ -137,82 +105,6 @@ impl Query {
         }
         Ok(())
     }
-
-    /// All atomic predicates, action first then objects in evaluation order,
-    /// then relationships.
-    pub fn predicates(&self) -> Vec<Predicate> {
-        let mut out = Vec::with_capacity(self.num_predicates());
-        out.push(Predicate::Action(self.action));
-        out.extend(self.objects.iter().map(|&o| Predicate::Object(o)));
-        out.extend(
-            self.relationships
-                .iter()
-                .map(|&(subject, relation, object)| Predicate::Relationship {
-                    subject,
-                    relation,
-                    object,
-                }),
-        );
-        out
-    }
-}
-
-/// Fluent builder for [`Query`], validating on [`QueryBuilder::build`].
-#[derive(Debug, Clone, Default)]
-pub struct QueryBuilder {
-    action: Option<ActionType>,
-    objects: Vec<ObjectType>,
-    relationships: Vec<(ObjectType, SpatialRelation, ObjectType)>,
-}
-
-impl QueryBuilder {
-    /// Starts an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the queried action.
-    pub fn action(mut self, a: ActionType) -> Self {
-        self.action = Some(a);
-        self
-    }
-
-    /// Appends an object predicate (evaluation order = insertion order).
-    pub fn object(mut self, o: ObjectType) -> Self {
-        self.objects.push(o);
-        self
-    }
-
-    /// Appends several object predicates.
-    pub fn objects(mut self, os: impl IntoIterator<Item = ObjectType>) -> Self {
-        self.objects.extend(os);
-        self
-    }
-
-    /// Appends a relationship constraint.
-    pub fn relationship(
-        mut self,
-        subject: ObjectType,
-        relation: SpatialRelation,
-        object: ObjectType,
-    ) -> Self {
-        self.relationships.push((subject, relation, object));
-        self
-    }
-
-    /// Validates and builds the query.
-    pub fn build(self) -> Result<Query> {
-        let action = self
-            .action
-            .ok_or_else(|| VaqError::InvalidQuery("query has no action predicate".into()))?;
-        let q = Query {
-            action,
-            objects: self.objects,
-            relationships: self.relationships,
-        };
-        q.validate()?;
-        Ok(q)
-    }
 }
 
 #[cfg(test)]
@@ -227,68 +119,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_happy_path() {
-        let q = QueryBuilder::new()
-            .action(a(3))
-            .object(o(1))
-            .object(o(2))
-            .build()
-            .unwrap();
-        assert_eq!(q.num_objects(), 2);
-        assert_eq!(q.num_predicates(), 3);
-        assert_eq!(q.objects, vec![o(1), o(2)]);
-    }
-
-    #[test]
-    fn builder_requires_action() {
-        assert!(QueryBuilder::new().object(o(1)).build().is_err());
-    }
-
-    #[test]
     fn duplicate_objects_rejected() {
-        let err = QueryBuilder::new()
-            .action(a(0))
-            .objects([o(1), o(1)])
-            .build()
-            .unwrap_err();
+        let err = Query::new(a(0), vec![o(1), o(1)]).validate().unwrap_err();
         assert!(matches!(err, VaqError::InvalidQuery(_)));
     }
 
     #[test]
     fn relationship_endpoints_must_be_queried() {
-        let err = QueryBuilder::new()
-            .action(a(0))
-            .object(o(1))
-            .relationship(o(1), SpatialRelation::LeftOf, o(9))
-            .build()
-            .unwrap_err();
+        let mut q = Query::new(a(0), vec![o(1)]);
+        q.relationships.push((o(1), SpatialRelation::LeftOf, o(9)));
+        let err = q.validate().unwrap_err();
         assert!(matches!(err, VaqError::InvalidQuery(_)));
     }
 
     #[test]
     fn self_relationship_rejected() {
-        let err = QueryBuilder::new()
-            .action(a(0))
-            .object(o(1))
-            .relationship(o(1), SpatialRelation::Overlapping, o(1))
-            .build()
-            .unwrap_err();
+        let mut q = Query::new(a(0), vec![o(1)]);
+        q.relationships
+            .push((o(1), SpatialRelation::Overlapping, o(1)));
+        let err = q.validate().unwrap_err();
         assert!(matches!(err, VaqError::InvalidQuery(_)));
-    }
-
-    #[test]
-    fn predicates_enumeration_order() {
-        let q = Query::new(a(7), vec![o(1), o(2)]);
-        let ps = q.predicates();
-        assert_eq!(ps[0], Predicate::Action(a(7)));
-        assert_eq!(ps[1], Predicate::Object(o(1)));
-        assert_eq!(ps[2], Predicate::Object(o(2)));
     }
 
     #[test]
     fn action_only_query() {
         let q = Query::action_only(a(7));
-        assert_eq!(q.num_objects(), 0);
+        assert!(q.objects.is_empty());
         q.validate().unwrap();
     }
 }

@@ -40,7 +40,7 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One splitmix64 step: advances `state` by [`GAMMA`] and returns the
+/// One splitmix64 step: advances `state` by `GAMMA` and returns the
 /// finalized state.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {

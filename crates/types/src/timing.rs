@@ -4,8 +4,9 @@
 //! recognizer; "typical values in the literature range from 10–30") and a
 //! clip length in shots (a tunable parameter whose effect is studied in
 //! Figures 4–5). [`VideoGeometry`] centralizes those two constants plus the
-//! frame rate, and provides all index conversions so no module does ad-hoc
-//! arithmetic.
+//! frame rate, and provides the index conversions the engines use (clip
+//! starts and whole-clip counts; a trailing partial clip is dropped), so no
+//! module does ad-hoc arithmetic.
 
 use crate::error::{Result, VaqError};
 use crate::ids::{ClipId, FrameId, ShotId};
@@ -60,48 +61,10 @@ impl VideoGeometry {
         self.frames_per_shot as u64 * self.shots_per_clip as u64
     }
 
-    /// Frames per (full) shot as a `u64` count, so callers never widen the
-    /// raw field with an `as` cast.
-    #[inline]
-    pub fn frames_in_shot(&self) -> u64 {
-        u64::from(self.frames_per_shot)
-    }
-
     /// Shots per (full) clip as a `u64` count.
     #[inline]
     pub fn shots_in_clip(&self) -> u64 {
         u64::from(self.shots_per_clip)
-    }
-
-    /// Frames per (full) clip; the ragged-aware sibling of
-    /// [`Self::frames_in_clip_at`].
-    #[inline]
-    pub fn frames_in_clip(&self) -> u64 {
-        self.frames_per_clip()
-    }
-
-    /// Shot containing frame `f`.
-    #[inline]
-    pub fn shot_of_frame(&self, f: FrameId) -> ShotId {
-        ShotId::new(f.raw() / self.frames_per_shot as u64)
-    }
-
-    /// Clip containing frame `f`.
-    #[inline]
-    pub fn clip_of_frame(&self, f: FrameId) -> ClipId {
-        ClipId::new(f.raw() / self.frames_per_clip())
-    }
-
-    /// Clip containing shot `s`.
-    #[inline]
-    pub fn clip_of_shot(&self, s: ShotId) -> ClipId {
-        ClipId::new(s.raw() / self.shots_per_clip as u64)
-    }
-
-    /// First frame of shot `s`.
-    #[inline]
-    pub fn first_frame_of_shot(&self, s: ShotId) -> FrameId {
-        FrameId::new(s.raw() * self.frames_per_shot as u64)
     }
 
     /// First frame of clip `c`.
@@ -116,24 +79,6 @@ impl VideoGeometry {
         ShotId::new(c.raw() * self.shots_per_clip as u64)
     }
 
-    /// Iterates the frames of clip `c` (the paper's `V(c)`).
-    pub fn frames_of_clip(&self, c: ClipId) -> impl Iterator<Item = FrameId> {
-        let start = self.first_frame_of_clip(c).raw();
-        (start..start + self.frames_per_clip()).map(FrameId::new)
-    }
-
-    /// Iterates the shots of clip `c` (the paper's `S(c)`).
-    pub fn shots_of_clip(&self, c: ClipId) -> impl Iterator<Item = ShotId> {
-        let start = self.first_shot_of_clip(c).raw();
-        (start..start + self.shots_per_clip as u64).map(ShotId::new)
-    }
-
-    /// Iterates the frames of shot `s`.
-    pub fn frames_of_shot(&self, s: ShotId) -> impl Iterator<Item = FrameId> {
-        let start = self.first_frame_of_shot(s).raw();
-        (start..start + self.frames_per_shot as u64).map(FrameId::new)
-    }
-
     /// Number of complete clips in a video of `num_frames` frames; a
     /// trailing partial clip is dropped, as the paper's fixed-length clip
     /// model implies.
@@ -146,47 +91,6 @@ impl VideoGeometry {
     #[inline]
     pub fn num_shots(&self, num_frames: u64) -> u64 {
         num_frames / self.frames_per_shot as u64
-    }
-
-    /// Number of clips needed to cover `num_frames` frames, counting a
-    /// trailing partial clip. Pairs with [`Self::frames_in_clip_at`] for
-    /// ragged-tail iteration.
-    #[inline]
-    pub fn num_clips_padded(&self, num_frames: u64) -> u64 {
-        num_frames.div_ceil(self.frames_per_clip())
-    }
-
-    /// Number of shots needed to cover `num_frames` frames, counting a
-    /// trailing partial shot.
-    #[inline]
-    pub fn num_shots_padded(&self, num_frames: u64) -> u64 {
-        num_frames.div_ceil(self.frames_in_shot())
-    }
-
-    /// Number of frames of shot `s` that exist in a video of `num_frames`
-    /// frames: the full shot length except at the ragged tail, where it is
-    /// the remainder (possibly zero for shots past the end).
-    #[inline]
-    pub fn frames_in_shot_at(&self, s: ShotId, num_frames: u64) -> u64 {
-        let start = self.first_frame_of_shot(s).raw();
-        self.frames_in_shot().min(num_frames.saturating_sub(start))
-    }
-
-    /// Number of frames of clip `c` that exist in a video of `num_frames`
-    /// frames (ragged tail included, zero past the end).
-    #[inline]
-    pub fn frames_in_clip_at(&self, c: ClipId, num_frames: u64) -> u64 {
-        let start = self.first_frame_of_clip(c).raw();
-        self.frames_in_clip().min(num_frames.saturating_sub(start))
-    }
-
-    /// Number of shots of clip `c` that have at least one frame in a video
-    /// of `num_frames` frames (a trailing partial shot counts as one shot).
-    #[inline]
-    pub fn shots_in_clip_at(&self, c: ClipId, num_frames: u64) -> u64 {
-        let start = self.first_shot_of_clip(c).raw();
-        self.shots_in_clip()
-            .min(self.num_shots_padded(num_frames).saturating_sub(start))
     }
 
     /// Number of frames spanned by `minutes` of video at this frame rate.
@@ -208,32 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_to_shot_to_clip() {
-        let f = FrameId::new(123);
-        assert_eq!(G.shot_of_frame(f), ShotId::new(12));
-        assert_eq!(G.clip_of_frame(f), ClipId::new(2));
-        assert_eq!(G.clip_of_shot(ShotId::new(12)), ClipId::new(2));
-    }
-
-    #[test]
-    fn clip_boundaries_are_consistent() {
+    fn clip_starts_are_whole_multiples() {
         let c = ClipId::new(3);
-        let frames: Vec<_> = G.frames_of_clip(c).collect();
-        assert_eq!(frames.len(), 50);
-        assert_eq!(frames[0], FrameId::new(150));
-        assert!(frames.iter().all(|&f| G.clip_of_frame(f) == c));
-
-        let shots: Vec<_> = G.shots_of_clip(c).collect();
-        assert_eq!(shots.len(), 5);
-        assert!(shots.iter().all(|&s| G.clip_of_shot(s) == c));
-    }
-
-    #[test]
-    fn frames_of_shot_within_clip() {
-        let s = ShotId::new(7);
-        let frames: Vec<_> = G.frames_of_shot(s).collect();
-        assert_eq!(frames.len(), 10);
-        assert!(frames.iter().all(|&f| G.shot_of_frame(f) == s));
+        assert_eq!(G.first_frame_of_clip(c), FrameId::new(150));
+        assert_eq!(G.first_shot_of_clip(c), ShotId::new(15));
     }
 
     #[test]
@@ -251,36 +133,7 @@ mod tests {
 
     #[test]
     fn typed_counts_match_raw_fields() {
-        assert_eq!(G.frames_in_shot(), 10);
         assert_eq!(G.shots_in_clip(), 5);
-        assert_eq!(G.frames_in_clip(), 50);
-    }
-
-    #[test]
-    fn padded_counts_include_ragged_tail() {
-        // 123 frames = 2 full clips + 23 ragged frames.
-        assert_eq!(G.num_clips_padded(123), 3);
-        assert_eq!(G.num_clips_padded(100), 2);
-        assert_eq!(G.num_clips_padded(0), 0);
-        // 123 frames = 12 full shots + 3 ragged frames.
-        assert_eq!(G.num_shots_padded(123), 13);
-        assert_eq!(G.num_shots_padded(120), 12);
-    }
-
-    #[test]
-    fn ragged_tail_lengths_are_explicit() {
-        // 123 frames: clip 2 holds frames 100..123 = 23 frames.
-        assert_eq!(G.frames_in_clip_at(ClipId::new(1), 123), 50);
-        assert_eq!(G.frames_in_clip_at(ClipId::new(2), 123), 23);
-        assert_eq!(G.frames_in_clip_at(ClipId::new(3), 123), 0);
-        // Shot 12 holds frames 120..123 = 3 frames.
-        assert_eq!(G.frames_in_shot_at(ShotId::new(11), 123), 10);
-        assert_eq!(G.frames_in_shot_at(ShotId::new(12), 123), 3);
-        assert_eq!(G.frames_in_shot_at(ShotId::new(13), 123), 0);
-        // Clip 2's shots 10..13 have frames; shots 13,14 are empty.
-        assert_eq!(G.shots_in_clip_at(ClipId::new(1), 123), 5);
-        assert_eq!(G.shots_in_clip_at(ClipId::new(2), 123), 3);
-        assert_eq!(G.shots_in_clip_at(ClipId::new(3), 123), 0);
     }
 
     #[test]
@@ -288,121 +141,6 @@ mod tests {
         assert!(VideoGeometry::new(0, 5, 30).is_err());
         assert!(VideoGeometry::new(10, 0, 30).is_err());
         assert!(VideoGeometry::new(10, 5, 0).is_err());
-    }
-
-    mod props {
-        use super::*;
-        use crate::rng::for_cases;
-
-        /// Frame → shot → clip conversions are consistent for any
-        /// geometry: containment holds and boundaries are exact.
-        #[test]
-        fn prop_conversions_consistent() -> Result<(), String> {
-            for_cases(
-                "prop_conversions_consistent",
-                256,
-                |r| {
-                    (
-                        r.gen_range(1u32..40),
-                        r.gen_range(1u32..20),
-                        r.gen_range(0u64..1_000_000),
-                    )
-                },
-                |&(fps_shot, spc, f)| {
-                    let g = VideoGeometry::new(fps_shot, spc, 30).unwrap();
-                    let fid = FrameId::new(f);
-                    let shot = g.shot_of_frame(fid);
-                    let clip = g.clip_of_frame(fid);
-                    assert_eq!(g.clip_of_shot(shot), clip);
-                    // The frame lies within its shot's frame range.
-                    let first = g.first_frame_of_shot(shot).raw();
-                    assert!((first..first + fps_shot as u64).contains(&f));
-                    // The shot lies within its clip's shot range.
-                    let first_shot = g.first_shot_of_clip(clip).raw();
-                    assert!((first_shot..first_shot + spc as u64).contains(&shot.raw()));
-                },
-            )
-        }
-
-        /// The typed ragged-tail conversions agree with a brute-force
-        /// walk over every frame, for lengths that do not divide evenly
-        /// into shots or clips.
-        #[test]
-        fn prop_ragged_tail_matches_frame_walk() -> Result<(), String> {
-            for_cases(
-                "prop_ragged_tail_matches_frame_walk",
-                256,
-                |r| {
-                    (
-                        r.gen_range(1u32..16),
-                        r.gen_range(1u32..8),
-                        r.gen_range(0u64..2_000),
-                    )
-                },
-                |&(fps_shot, spc, num_frames)| {
-                    let g = VideoGeometry::new(fps_shot, spc, 30).unwrap();
-
-                    // Clip lengths: count frames landing in each clip.
-                    let clips = g.num_clips_padded(num_frames);
-                    for c in 0..clips + 1 {
-                        let cid = ClipId::new(c);
-                        let walked = (0..num_frames)
-                            .filter(|&f| g.clip_of_frame(FrameId::new(f)) == cid)
-                            .count() as u64;
-                        assert_eq!(g.frames_in_clip_at(cid, num_frames), walked);
-                    }
-                    // Every frame lives in some padded clip, none beyond.
-                    let total: u64 = (0..clips)
-                        .map(|c| g.frames_in_clip_at(ClipId::new(c), num_frames))
-                        .sum();
-                    assert_eq!(total, num_frames);
-
-                    // Shot lengths, same brute-force cross-check.
-                    let shots = g.num_shots_padded(num_frames);
-                    for s in [0, shots.saturating_sub(1), shots] {
-                        let sid = ShotId::new(s);
-                        let walked = (0..num_frames)
-                            .filter(|&f| g.shot_of_frame(FrameId::new(f)) == sid)
-                            .count() as u64;
-                        assert_eq!(g.frames_in_shot_at(sid, num_frames), walked);
-                    }
-
-                    // Shots-per-clip: count distinct non-empty shots per clip.
-                    for c in [0, clips.saturating_sub(1), clips] {
-                        let cid = ClipId::new(c);
-                        let walked = g
-                            .shots_of_clip(cid)
-                            .filter(|&s| g.frames_in_shot_at(s, num_frames) > 0)
-                            .count() as u64;
-                        assert_eq!(g.shots_in_clip_at(cid, num_frames), walked);
-                    }
-                },
-            )
-        }
-
-        /// Iterating a clip's frames visits exactly frames_per_clip
-        /// distinct frames, all mapping back to the clip.
-        #[test]
-        fn prop_clip_iteration_roundtrip() -> Result<(), String> {
-            for_cases(
-                "prop_clip_iteration_roundtrip",
-                256,
-                |r| {
-                    (
-                        r.gen_range(1u32..20),
-                        r.gen_range(1u32..10),
-                        r.gen_range(0u64..10_000),
-                    )
-                },
-                |&(fps_shot, spc, c)| {
-                    let g = VideoGeometry::new(fps_shot, spc, 30).unwrap();
-                    let cid = ClipId::new(c);
-                    let frames: Vec<_> = g.frames_of_clip(cid).collect();
-                    assert_eq!(frames.len() as u64, g.frames_per_clip());
-                    assert!(frames.iter().all(|&f| g.clip_of_frame(f) == cid));
-                },
-            )
-        }
     }
 
     #[test]

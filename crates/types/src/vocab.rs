@@ -48,7 +48,10 @@ impl Vocabulary {
     /// # Panics
     /// Panics on duplicate labels — vocabularies are authored statically and
     /// a duplicate is a programming error, not a runtime condition.
-    pub fn new(kind: VocabularyKind, labels: impl IntoIterator<Item = impl Into<String>>) -> Self {
+    pub(crate) fn new(
+        kind: VocabularyKind,
+        labels: impl IntoIterator<Item = impl Into<String>>,
+    ) -> Self {
         let labels: Vec<String> = labels.into_iter().map(Into::into).collect();
         let mut index = HashMap::with_capacity(labels.len());
         for (i, l) in labels.iter().enumerate() {
@@ -60,22 +63,6 @@ impl Vocabulary {
             labels,
             index,
         }
-    }
-
-    /// Restores the label → index map after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
-    }
-
-    /// The vocabulary's universe kind.
-    #[inline]
-    pub fn kind(&self) -> VocabularyKind {
-        self.kind
     }
 
     /// Number of labels.
@@ -97,7 +84,7 @@ impl Vocabulary {
     }
 
     /// Raw index of `label`, if present.
-    pub fn index_of(&self, label: &str) -> Option<u32> {
+    fn index_of(&self, label: &str) -> Option<u32> {
         self.index.get(label).copied()
     }
 
@@ -126,25 +113,6 @@ impl Vocabulary {
                 label: label.to_owned(),
                 vocabulary: self.kind.as_str(),
             })
-    }
-
-    /// Label of an object type (panics if out of range — an [`ObjectType`]
-    /// should only ever be minted by this vocabulary).
-    // Documented contract panic: ObjectTypes are only minted by this
-    // vocabulary.
-    #[allow(clippy::panic)]
-    pub fn object_label(&self, o: ObjectType) -> &str {
-        self.label(o.raw())
-            .unwrap_or_else(|| panic!("object type {o} out of vocabulary range"))
-    }
-
-    /// Label of an action type (panics if out of range).
-    // Documented contract panic: ActionTypes are only minted by this
-    // vocabulary.
-    #[allow(clippy::panic)]
-    pub fn action_label(&self, a: ActionType) -> &str {
-        self.label(a.raw())
-            .unwrap_or_else(|| panic!("action type {a} out of vocabulary range"))
     }
 }
 
@@ -328,7 +296,7 @@ mod tests {
     fn object_resolution_roundtrip() {
         let v = coco_objects();
         let car = v.object("car").unwrap();
-        assert_eq!(v.object_label(car), "car");
+        assert_eq!(v.label(car.raw()), Some("car"));
     }
 
     #[test]
@@ -343,7 +311,7 @@ mod tests {
     fn action_resolution_roundtrip() {
         let v = kinetics_actions();
         let a = v.action("jumping").unwrap();
-        assert_eq!(v.action_label(a), "jumping");
+        assert_eq!(v.label(a.raw()), Some("jumping"));
         assert!(v.action("moonwalking on mars").is_err());
     }
 
@@ -351,14 +319,5 @@ mod tests {
     #[should_panic(expected = "duplicate vocabulary label")]
     fn duplicate_labels_panic() {
         let _ = Vocabulary::new(VocabularyKind::Object, ["a", "a"]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut v = Vocabulary::new(VocabularyKind::Object, ["x", "y"]);
-        v.index.clear();
-        assert_eq!(v.index_of("y"), None);
-        v.rebuild_index();
-        assert_eq!(v.index_of("y"), Some(1));
     }
 }

@@ -20,10 +20,11 @@
 //! each box as it yields it, so a box is computed only when it is read;
 //! [`Frame::paths`] yields the paths that contain the frame, with no box,
 //! so a model can skip the instances it does not report before any box
-//! work. Every frame's instances equal [`SceneScript::visible_at`] on that
-//! frame, in the same order (type order, then instance order), and every
-//! shot's slice equals [`SceneScript::shot_actions`]; the oracle tests in
-//! `script.rs` check exactly that.
+//! work. Every frame's instances equal the test-only per-frame oracle
+//! `SceneScript::visible_at` on that frame, in the same order (type order,
+//! then instance order), and every shot's slice equals
+//! `SceneScript::shot_actions`; the oracle tests in `script.rs` check
+//! exactly that.
 
 use crate::script::{InstancePath, SceneScript, VisibleInstance};
 use vaq_types::conv;
@@ -53,7 +54,7 @@ impl<'a> Frame<'a> {
     }
 
     /// Ground-truth instances visible on the frame, in the order of
-    /// [`SceneScript::visible_at`]; each box is computed as it is yielded.
+    /// `SceneScript::visible_at`; each box is computed as it is yielded.
     pub fn instances(&self) -> impl Iterator<Item = VisibleInstance> + 'a {
         let f = self.id;
         self.paths.iter().filter_map(move |(object, inst)| {
@@ -68,7 +69,7 @@ impl<'a> Frame<'a> {
 }
 
 /// One shot of a clip: its index plus the ground-truth actions active on
-/// it (half-coverage rule, see [`SceneScript::shot_actions`]), each with its
+/// it (half-coverage rule, see `SceneScript::shot_actions`), each with its
 /// scene prominence, borrowed from the clip's action arena.
 #[derive(Debug, Clone, Copy)]
 pub struct Shot<'a> {
@@ -167,7 +168,7 @@ impl<'a> VideoStream<'a> {
 
     /// Whether the stream is exhausted (the paper's `X.end()`).
     #[inline]
-    pub fn is_end(&self) -> bool {
+    pub(crate) fn is_end(&self) -> bool {
         self.next_clip >= self.num_clips
     }
 
@@ -187,12 +188,12 @@ impl<'a> VideoStream<'a> {
         let g = self.script.geometry();
         let first_frame = g.first_frame_of_clip(c);
         let first_shot = g.first_shot_of_clip(c);
-        let paths = self.script.paths_over(first_frame, g.frames_in_clip());
+        let paths = self.script.paths_over(first_frame, g.frames_per_clip());
         let (actions, shot_ends) = self.script.actions_over(first_shot, g.shots_in_clip());
         ClipView {
             id: c,
             first_frame,
-            num_frames: conv::capacity_hint(g.frames_in_clip()),
+            num_frames: conv::capacity_hint(g.frames_per_clip()),
             first_shot,
             paths,
             actions,

@@ -87,6 +87,7 @@ impl TypeTimeline {
         self.spans = span::normalize_spans(self.instances.iter().map(|i| i.span).collect());
     }
 
+    #[cfg(test)]
     fn visible_at<'a>(&'a self, f: FrameId) -> impl Iterator<Item = &'a InstancePath> + 'a {
         let fr = f.raw();
         let lo = fr.saturating_sub(self.max_len.saturating_sub(1));
@@ -126,7 +127,7 @@ vaq_types::json_record!(SceneScript: num_frames, geometry, objects, actions);
 /// clip scores of prominent scenes are high across all queried predicates —
 /// the cross-table score correlation real footage exhibits.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActionSpan {
+pub(crate) struct ActionSpan {
     /// Frames covered by the occurrence.
     pub span: FrameSpan,
     /// Prominence factor in `(0, 1]`.
@@ -139,7 +140,7 @@ impl SceneScript {
     /// Recomputes derived per-type indexes (sort order, stabbing bounds,
     /// normalized spans) — call after deserializing a script whose JSON may
     /// have been produced by an older writer or edited by hand.
-    pub fn rebuild_indexes(&mut self) {
+    pub(crate) fn rebuild_indexes(&mut self) {
         for timeline in self.objects.values_mut() {
             timeline.rebuild();
         }
@@ -188,7 +189,7 @@ impl SceneScript {
     }
 
     /// Occurrence spans of action `a` (sorted by start; empty if absent).
-    pub fn action_occurrences(&self, a: ActionType) -> &[ActionSpan] {
+    pub(crate) fn action_occurrences(&self, a: ActionType) -> &[ActionSpan] {
         self.actions.get(&a).map_or(&[], Vec::as_slice)
     }
 
@@ -198,12 +199,15 @@ impl SceneScript {
     }
 
     /// All instance paths of object type `o`.
-    pub fn instances_of(&self, o: ObjectType) -> &[InstancePath] {
+    #[cfg(test)]
+    fn instances_of(&self, o: ObjectType) -> &[InstancePath] {
         self.objects.get(&o).map_or(&[], |t| &t.instances)
     }
 
-    /// Ground-truth instances visible on frame `f`.
-    pub fn visible_at(&self, f: FrameId) -> Vec<VisibleInstance> {
+    /// Ground-truth instances visible on frame `f`: the per-frame oracle
+    /// that materialized clips are checked against.
+    #[cfg(test)]
+    pub(crate) fn visible_at(&self, f: FrameId) -> Vec<VisibleInstance> {
         let mut out = Vec::new();
         for (&object, timeline) in &self.objects {
             for inst in timeline.visible_at(f) {
@@ -270,7 +274,8 @@ impl SceneScript {
     /// recognizer sees the shot as containing the action only if most of
     /// the shot is the action). Prominence is the maximum over covering
     /// occurrences.
-    pub fn shot_actions(&self, s: ShotId) -> Vec<(ActionType, f32)> {
+    #[cfg(test)]
+    pub(crate) fn shot_actions(&self, s: ShotId) -> Vec<(ActionType, f32)> {
         self.actions_on(s).collect()
     }
 
@@ -640,7 +645,7 @@ mod materialize_oracle {
         for c in 0..s.num_clips() {
             let clip = stream.materialize(ClipId::new(c));
             assert_eq!(clip.id, ClipId::new(c));
-            assert_eq!(clip.frames().len() as u64, g.frames_in_clip(), "clip {c}");
+            assert_eq!(clip.frames().len() as u64, g.frames_per_clip(), "clip {c}");
             assert_eq!(clip.num_frames(), clip.frames().len(), "clip {c}");
             let first = g.first_frame_of_clip(clip.id).raw();
             for (i, frame) in clip.frames().enumerate() {

@@ -3,13 +3,13 @@
 //! Ground truth is annotated at frame granularity ("we label the temporal
 //! boundaries of the appearances", paper §5.1); query evaluation happens at
 //! clip granularity. [`FrameSpan`] is the annotation unit and
-//! [`spans_to_clip_set`] projects a set of spans down to clips using a
+//! `spans_to_clip_set` projects a set of spans down to clips using a
 //! coverage fraction: a clip counts as covered when at least
 //! `coverage` of its frames fall inside some span (the paper's IOU-based
 //! evaluation needs a definite clip-level ground truth; half-coverage is the
 //! natural unbiased rounding).
 
-use vaq_types::{ClipId, ClipInterval, FrameId, SequenceSet, VideoGeometry};
+use vaq_types::{ClipInterval, FrameId, SequenceSet, VideoGeometry};
 
 /// A run of frames `[start, end)` — half-open, so `len = end − start` and
 /// zero-length spans are representable (and rejected where meaningless).
@@ -104,7 +104,7 @@ pub fn total_frames(spans: &[FrameSpan]) -> u64 {
 ///
 /// # Panics
 /// Panics unless `0 < coverage ≤ 1`.
-pub fn spans_to_clip_set(
+pub(crate) fn spans_to_clip_set(
     spans: &[FrameSpan],
     geometry: &VideoGeometry,
     num_frames: u64,
@@ -135,14 +135,6 @@ pub fn spans_to_clip_set(
         intervals.push(ClipInterval::new(s, e));
     }
     SequenceSet::from_intervals(intervals)
-}
-
-/// Convenience: fraction of clip `c`'s frames covered by the spans.
-pub fn clip_coverage(spans: &[FrameSpan], geometry: &VideoGeometry, c: ClipId) -> f64 {
-    let fpc = geometry.frames_per_clip();
-    let clip_span = FrameSpan::new(c.raw() * fpc, (c.raw() + 1) * fpc);
-    let covered: u64 = spans.iter().map(|s| s.overlap_len(&clip_span)).sum();
-    covered as f64 / fpc as f64
 }
 
 #[cfg(test)]
@@ -220,13 +212,6 @@ mod tests {
         let spans = vec![FrameSpan::new(0, 120)];
         let set = spans_to_clip_set(&spans, &G, 120, 0.5);
         assert_eq!(set.intervals(), &[ClipInterval::new(0, 1)]);
-    }
-
-    #[test]
-    fn coverage_helper() {
-        let spans = vec![FrameSpan::new(0, 25)];
-        assert!((clip_coverage(&spans, &G, ClipId::new(0)) - 0.5).abs() < 1e-12);
-        assert_eq!(clip_coverage(&spans, &G, ClipId::new(1)), 0.0);
     }
 
     /// Up to 9 spans, each starting below `max` and 1–199 frames long

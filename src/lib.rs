@@ -77,6 +77,6 @@ pub use vaq_video as video;
 pub use trace;
 
 pub use vaq_types::{
-    ActionType, BBox, ClipId, ClipInterval, FrameId, ObjectType, Query, QueryBuilder, Result,
-    SequenceSet, ShotId, TrackId, VaqError, VideoGeometry, VideoId,
+    ActionType, BBox, ClipId, ClipInterval, FrameId, ObjectType, Query, Result, SequenceSet,
+    ShotId, TrackId, VaqError, VideoGeometry, VideoId,
 };
