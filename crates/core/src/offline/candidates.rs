@@ -119,17 +119,19 @@ impl CandidateIndex {
     }
 
     /// `clip`'s sequence index and offset, or `None` outside `P_q`.
-    pub(crate) fn get(&self, clip: ClipId) -> Option<(usize, u64)> {
+    pub(crate) fn get(&self, clip: ClipId) -> Option<(usize, usize)> {
         match &self.form {
             Form::Dense { first, slots } => {
                 let i = conv::index(clip.raw().checked_sub(first.raw())?)?;
                 let [sequence, offset] = *slots.get(i)?;
-                (sequence != NOT_CANDIDATE).then(|| (conv::usize_of(sequence), u64::from(offset)))
+                (sequence != NOT_CANDIDATE)
+                    .then(|| (conv::usize_of(sequence), conv::usize_of(offset)))
             }
             Form::Sorted(sequences) => {
                 let i = sequences.partition_point(|&(_, end, _)| end < clip);
                 let &(start, _, base) = sequences.get(i)?;
-                (start <= clip).then(|| (i, base + (clip.raw() - start.raw())))
+                let offset = clip.raw().checked_sub(start.raw())?;
+                Some((i, conv::index(base + offset)?))
             }
         }
     }
@@ -178,7 +180,7 @@ mod tests {
     /// within two of a candidate), and for both ends of the id range.
     fn check_index(pq: &SequenceSet) -> CandidateIndex {
         let index = CandidateIndex::new(pq);
-        let offsets: std::collections::BTreeMap<ClipId, u64> = pq.clips().zip(0u64..).collect();
+        let offsets: std::collections::BTreeMap<ClipId, usize> = pq.clips().zip(0..).collect();
         let near =
             |iv: &ClipInterval| iv.start.raw().saturating_sub(2)..=iv.end.raw().saturating_add(2);
         let probes: Vec<u64> = match (pq.intervals().first(), pq.intervals().last()) {

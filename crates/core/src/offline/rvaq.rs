@@ -58,13 +58,12 @@
 //! at K); below it the run may return fewer sequences, or other ones. The
 //! default `-∞` prunes nothing.
 
-use crate::offline::candidates::CandidateIndex;
 use crate::offline::scoring::ScoringModel;
 use crate::offline::tbclip::{QueryTables, TbClip};
 use std::time::Instant;
 use trace::Tracer;
 use vaq_storage::AccessStats;
-use vaq_types::{conv, ClipId, ClipInterval, SequenceSet};
+use vaq_types::{conv, ClipInterval, SequenceSet};
 
 /// Options controlling an RVAQ run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,7 +185,7 @@ pub fn rvaq_traced(
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
     tables.reset_stats();
-    let mut tb = TbClip::new(tables, scoring);
+    let mut tb = TbClip::new(tables, pq, scoring);
 
     let mut states: Vec<SeqState> = pq
         .intervals()
@@ -204,8 +203,6 @@ pub fn rvaq_traced(
 
     let k = opts.k.min(states.len());
     let mut iterations = 0u64;
-    let index = CandidateIndex::new(pq);
-    let mut known = KnownClips::new(pq.total_clips());
     let mut top_set = Vec::with_capacity(k);
     // Conclusively-in sequences join C_skip when the elision planner defers
     // their clips' exact scores to the final refinement.
@@ -222,31 +219,27 @@ pub fn rvaq_traced(
         tracer.counter_add("rvaq.iterations", 1);
         let step = {
             let states = &states;
-            tb.next(&|c: ClipId| match index.get(c) {
-                None => true, // C_skip is initialized to C(X) \ C(P_q)
-                Some((i, _)) => states[i].decided_out || (elide_in && states[i].decided_in),
-            })
+            // C_skip starts as C(X) \ C(P_q), which TBClip never delivers.
+            tb.next(&|i: usize| states[i].decided_out || (elide_in && states[i].decided_in))
         };
         if step.top.is_none() && step.btm.is_none() {
             break;
         }
 
         // Fold the delivered clips' exact scores into their sequences
-        // (guarding against a clip arriving from both frontiers).
-        for row in [step.top, step.btm].into_iter().flatten() {
-            if let Some((j, offset)) = index.get(row.clip) {
-                if known.insert(offset) {
-                    let st = &mut states[j];
-                    st.s_known = scoring.f_combine(st.s_known, row.score);
-                    st.l_unknown -= 1;
-                }
+        // (once per clip: a clip can arrive from both frontiers).
+        for d in [step.top, step.btm].into_iter().flatten() {
+            if d.first {
+                let st = &mut states[d.sequence];
+                st.s_known = scoring.f_combine(st.s_known, d.row.score);
+                st.l_unknown -= 1;
             }
         }
         if let Some(top) = step.top {
-            top_frontier = Some(top.score);
+            top_frontier = Some(top.row.score);
         }
         if let Some(btm) = step.btm {
-            btm_frontier = Some(btm.score);
+            btm_frontier = Some(btm.row.score);
         }
 
         // Re-estimate both bounds of every live sequence from the current
@@ -352,30 +345,6 @@ fn frontier(states: &[SeqState], k: usize, top_set: &mut Vec<usize>) -> (f64, f6
     (blo_k, bup_notk)
 }
 
-/// The clips of `C(P_q)` already folded into their sequence's bounds: one
-/// bit per clip, at its [`CandidateIndex`] offset (a clip can arrive from
-/// both frontiers, but counts once).
-struct KnownClips {
-    bits: Vec<u64>,
-}
-
-impl KnownClips {
-    fn new(clips: u64) -> Self {
-        Self {
-            bits: vec![0; conv::capacity_hint(clips.div_ceil(64))],
-        }
-    }
-
-    /// Marks the clip at `offset` as known; false if it already was.
-    fn insert(&mut self, offset: u64) -> bool {
-        let word = &mut self.bits[conv::capacity_hint(offset / 64)];
-        let mask = 1u64 << (offset % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        fresh
-    }
-}
-
 /// Exact `S_q(z)` by folding the cached/randomly-accessed clip scores.
 pub(crate) fn exact_sequence_score(
     tb: &mut TbClip<'_, '_>,
@@ -392,6 +361,7 @@ mod tests {
     use super::*;
     use crate::offline::scoring::PaperScoring;
     use vaq_storage::{CostModel, MemTable, ScoreRow};
+    use vaq_types::ClipId;
 
     /// A workload with 4 candidate sequences of very different scores.
     /// Clips 0..40; sequences [0,4], [10,14], [20,24], [30,34].

@@ -12,44 +12,36 @@
 //! 3. sorted access from the bottom via reverse access, mirroring step 1;
 //! 4. random accesses for the clips newly seen there, mirroring step 2.
 //!
-//! The caller supplies a skip predicate realizing the paper's `C_skip`: it
-//! starts as "everything outside `P_q`" and grows as RVAQ decides sequences
-//! conclusively in or out.
+//! The paper's `C_skip` starts as `C(X) \ C(P_q)`, so TBClip only ever
+//! scores and delivers clips of the candidate sequences `P_q`. The caller
+//! supplies a skip predicate over `P_q`'s sequences for the rest of
+//! `C_skip`: it grows as RVAQ decides sequences conclusively in or out.
 //!
-//! **Layout (DESIGN.md §5, item 5).** Every clip a scan reveals is
-//! interned into a dense slot on first sight; all per-clip state (revealed
-//! per-table scores, per-side seen counts, the cached `S_q(c)`, the
-//! processed and elided flags) lives in vectors indexed by slot, so a
-//! revealed row costs O(1), and so does each random access a completion
-//! makes into an ingested table (one read of its clip index) and each
-//! probe of RVAQ's skip predicate (one read of its candidate index). The
-//! clip-to-slot index is a plain array read at the clip id modulo its
-//! length while the ids interned so far span no more than
-//! [`vaq_types::ids::dense_span`] admits over the tables' total rows (the
-//! rule `MemTable`'s clip index follows); the first id that would spread
-//! them wider moves every slot to a map keyed by a per-iterator random key
-//! (splitmix64 over `id ^ key`), so a table file cannot choose which ids
-//! collide. Both forms are only ever probed, never iterated, so neither
-//! can reach a result. Each row reveals at most one clip, so the state
-//! vectors, both sides' buffers and the array are sized from the tables'
-//! row counts when the iterator starts, never from id magnitudes, and the
-//! scans allocate nothing after that but the one move to the map. Each
-//! side's scored candidates wait in a binary heap ordered by score (ties
-//! to the lowest clip id), so a delivery costs O(log n). Skipped candidates
-//! leave a heap lazily, when they reach its top: `C_skip` only grows, so a
-//! candidate skipped once would be skipped at every later delivery too and
-//! can never be the one chosen. For the same reason each slot caches a
-//! true skip verdict: the caller's predicate is asked again only while it
-//! says no.
+//! **Layout (DESIGN.md §5, item 5).** Per-clip state is addressed by the
+//! clip's offset in the candidate index, `CandidateIndex`: the offsets
+//! run `0..pq.total_clips()`, the candidate intervals laid end to end.
+//! Every per-clip fact (revealed per-table scores, per-side seen counts,
+//! the cached `S_q(c)`, the clip's sequence, the processed and elided
+//! flags) lives in vectors of that length, allocated when the iterator
+//! starts, as are both sides' buffers; the scans allocate nothing after
+//! that, and nothing is sized from the tables' rows or the ids'
+//! magnitudes. A revealed row costs one lookup in the
+//! candidate index. A row of a clip outside `P_q` is an access its table
+//! has already counted, and TBClip keeps nothing of it. Each random access
+//! a completion makes into an ingested table is one read of its clip
+//! index, and each ask of the skip predicate reads the sequence index the
+//! clip's state recorded. Each side's scored candidates wait in a binary
+//! heap ordered by score (ties to the lowest clip id), so a delivery costs
+//! O(log n). Skipped candidates leave a heap lazily, when they reach its
+//! top: `C_skip` only grows, so a candidate skipped once would be skipped
+//! at every later delivery too and can never be the one chosen.
 
+use crate::offline::candidates::CandidateIndex;
 use crate::offline::scoring::ScoringModel;
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::BinaryHeap;
 use vaq_storage::{AccessStats, ClipScoreTable, ScoreRow};
-use vaq_types::rng::mix64;
-use vaq_types::{conv, ClipId};
+use vaq_types::{conv, ClipId, SequenceSet};
 
 #[cfg(test)]
 mod reference;
@@ -81,14 +73,6 @@ impl<'t> QueryTables<'t> {
             .chain(std::iter::once(self.action.len()))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Rows over all tables: at least the number of distinct clips they
-    /// hold.
-    fn total_len(&self) -> usize {
-        self.objects
-            .iter()
-            .fold(self.action.len(), |n, t| n.saturating_add(t.len()))
     }
 
     /// Table by index: 0 is the action table, then objects in order.
@@ -155,10 +139,22 @@ impl<'t> QueryTables<'t> {
 /// exhausted independently).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TbStep {
-    /// Highest-scoring unprocessed candidate, with its exact `S_q(c)`.
-    pub(crate) top: Option<ScoreRow>,
+    /// Highest-scoring unprocessed candidate.
+    pub(crate) top: Option<Delivery>,
     /// Lowest-scoring unprocessed candidate.
-    pub(crate) btm: Option<ScoreRow>,
+    pub(crate) btm: Option<Delivery>,
+}
+
+/// A candidate clip one side delivers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Delivery {
+    /// The clip with its exact `S_q(c)`.
+    pub(crate) row: ScoreRow,
+    /// Index of the clip's sequence in `P_q`.
+    pub(crate) sequence: usize,
+    /// Whether no side had delivered the clip before (a clip can arrive
+    /// from both frontiers).
+    pub(crate) first: bool,
 }
 
 /// Side index of the top (sorted-access) scan.
@@ -166,10 +162,13 @@ const TOP: usize = 0;
 /// Side index of the bottom (reverse-access) scan.
 const BTM: usize = 1;
 
-/// Everything known about one interned clip.
-#[derive(Debug, Clone, Copy)]
+/// Everything known about one candidate clip.
+#[derive(Debug, Clone, Copy, Default)]
 struct ClipState {
+    /// The clip, once a scan has revealed it or its score was asked for.
     clip: ClipId,
+    /// Index of the clip's sequence in `P_q`, once a scan has revealed it.
+    sequence: usize,
     /// Exact `S_q(c)` once `scored` is set (shared across sides).
     score: f64,
     /// Rows of this clip each side's scan has revealed.
@@ -181,230 +180,27 @@ struct ClipState {
     /// Whether the elision counter has billed this clip (once per clip,
     /// even when both sides skip it).
     elided: bool,
-    /// Whether `C_skip` has been seen to hold this clip.
-    skipped: bool,
-}
-
-impl ClipState {
-    fn new(clip: ClipId) -> Self {
-        Self {
-            clip,
-            score: 0.0,
-            seen: [0; 2],
-            scored: false,
-            processed: [false; 2],
-            elided: false,
-            skipped: false,
-        }
-    }
-
-    /// Whether `C_skip` holds this clip. `C_skip` only grows, so a true
-    /// verdict is kept and `skip` is asked again only while it says no.
-    fn skipped(&mut self, skip: &dyn Fn(ClipId) -> bool) -> bool {
-        if !self.skipped {
-            self.skipped = skip(self.clip);
-        }
-        self.skipped
-    }
-}
-
-/// Builds [`ClipHasher`]s under one random key.
-#[derive(Clone, Copy)]
-struct ClipHash {
-    key: u64,
-}
-
-impl ClipHash {
-    // The key only spreads clip ids over `SlotIndex::Map`, which is probed,
-    // never iterated, so no output depends on it.
-    #[allow(clippy::disallowed_methods)]
-    fn new() -> Self {
-        Self {
-            key: RandomState::new().hash_one(0u64),
-        }
-    }
-}
-
-impl BuildHasher for ClipHash {
-    type Hasher = ClipHasher;
-
-    fn build_hasher(&self) -> ClipHasher {
-        ClipHasher {
-            key: self.key,
-            hash: 0,
-        }
-    }
-}
-
-/// The splitmix64 finalizer over `id ^ key`: a bijection of the keyed id,
-/// so distinct clips never collide in the full 64 bits.
-struct ClipHasher {
-    key: u64,
-    hash: u64,
-}
-
-impl Hasher for ClipHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(self.hash ^ u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.hash = mix64(id ^ self.key);
-    }
-}
-
-/// The clip-to-slot index as a plain array: clip `id`'s slot plus one at
-/// `tags[id mod tags.len()]`, 0 for a clip not interned. Every interned id
-/// lies in `lo..=hi`, a span [`vaq_types::ids::dense_span`] admits over
-/// the tables' `rows` and no longer than `tags` (a power of two), so no two
-/// interned ids share an entry, and a clip whose id lies in `lo..=hi` is
-/// interned exactly when its entry is set.
-struct DenseSlots {
-    lo: u64,
-    hi: u64,
-    rows: usize,
-    tags: Vec<u32>,
-}
-
-impl DenseSlots {
-    /// An empty index with room for the widest span `dense_span` admits
-    /// over `rows` entries (four slots per entry), or `None` when there are
-    /// no rows or too many to tag a slot in a `u32`.
-    fn new(rows: usize) -> Option<Self> {
-        let len = rows.checked_mul(4)?.checked_next_power_of_two()?;
-        let fits = rows > 0 && u32::try_from(len).is_ok_and(|n| n <= u32::MAX / 2);
-        fits.then(|| Self {
-            lo: u64::MAX,
-            hi: 0,
-            rows,
-            tags: vec![0; len],
-        })
-    }
-
-    /// `id`'s slot, or `next` once `id` has been placed there; `None` when
-    /// the ids would spread wider than the array admits.
-    fn slot(&mut self, id: u64, next: usize) -> Option<usize> {
-        let at = conv::capacity_hint(id & (conv::len_u64(self.tags.len()) - 1));
-        if (self.lo..=self.hi).contains(&id) {
-            if let Some(slot) = self.tags[at].checked_sub(1) {
-                return Some(conv::usize_of(slot));
-            }
-        } else {
-            let (lo, hi) = (self.lo.min(id), self.hi.max(id));
-            let span = vaq_types::ids::dense_span(ClipId::new(lo), ClipId::new(hi), self.rows)?;
-            if span > self.tags.len() {
-                return None;
-            }
-            (self.lo, self.hi) = (lo, hi);
-        }
-        // At most `tags.len()` ids fit the span, so the tag fits a `u32`.
-        self.tags[at] = u32::try_from(next + 1).ok()?;
-        Some(next)
-    }
-}
-
-/// Where an interned clip's slot is found: the dense array while the ids
-/// interned fit it, otherwise a keyed map (the two forms of `MemTable`'s
-/// clip index). Probed only, never iterated.
-enum SlotIndex {
-    Dense(DenseSlots),
-    /// Slot of every interned clip, by raw id.
-    Map(HashMap<u64, usize, ClipHash>),
-}
-
-impl SlotIndex {
-    /// The dense form over `rows` table rows when it fits, else the map
-    /// (the only form that draws a hash key).
-    fn new(rows: usize) -> Self {
-        DenseSlots::new(rows).map_or_else(
-            || SlotIndex::Map(HashMap::with_capacity_and_hasher(rows, ClipHash::new())),
-            SlotIndex::Dense,
-        )
-    }
-}
-
-/// Dense per-clip state, indexed by slot.
-struct Slots {
-    num_tables: usize,
-    index: SlotIndex,
-    clips: Vec<ClipState>,
-    /// `num_tables` scores per slot: the row score a sorted/reverse access
-    /// revealed for that table, if any (the top-k access model yields
-    /// `(cid, score)` pairs, so completing a clip's score only needs random
-    /// accesses into the tables that have *not* shown it yet).
-    revealed: Vec<Option<f64>>,
-}
-
-impl Slots {
-    /// Empty state with room for `rows` clips, the most the tables' scans
-    /// can reveal.
-    fn new(num_tables: usize, rows: usize) -> Self {
-        Self {
-            num_tables,
-            index: SlotIndex::new(rows),
-            clips: Vec::with_capacity(rows),
-            revealed: Vec::with_capacity(rows.saturating_mul(num_tables)),
-        }
-    }
-
-    fn intern(&mut self, clip: ClipId) -> usize {
-        let next = self.clips.len();
-        let found = match &mut self.index {
-            SlotIndex::Dense(dense) => dense.slot(clip.raw(), next),
-            SlotIndex::Map(map) => Some(*map.entry(clip.raw()).or_insert(next)),
-        };
-        let slot = found.unwrap_or_else(|| {
-            // The ids outgrew the array: move every slot to the map.
-            let mut map = HashMap::with_capacity_and_hasher(self.clips.capacity(), ClipHash::new());
-            map.extend(
-                (0..)
-                    .zip(&self.clips)
-                    .map(|(slot, st)| (st.clip.raw(), slot)),
-            );
-            map.insert(clip.raw(), next);
-            self.index = SlotIndex::Map(map);
-            next
-        });
-        if slot == next {
-            self.clips.push(ClipState::new(clip));
-            self.revealed
-                .resize(self.revealed.len() + self.num_tables, None);
-        }
-        slot
-    }
-
-    fn revealed(&self, slot: usize) -> &[Option<f64>] {
-        &self.revealed[slot * self.num_tables..(slot + 1) * self.num_tables]
-    }
 }
 
 /// A scored candidate awaiting delivery on one side (its score is the
-/// slot's). The heap's maximum is the side's best candidate: `key` is the
-/// score on the top side and its negation on the bottom side, with `-0.0`
-/// folded into `+0.0` so that the two zeros tie, and ties go to the lowest
-/// clip id.
+/// clip state's). The heap's maximum is the side's best candidate: `key`
+/// is the score on the top side and its negation on the bottom side, with
+/// `-0.0` folded into `+0.0` so that the two zeros tie, and ties go to the
+/// lowest clip id.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     key: f64,
     clip: ClipId,
-    slot: usize,
+    offset: usize,
 }
 
 impl Pending {
-    fn new(side: usize, score: f64, clip: ClipId, slot: usize) -> Self {
+    fn new(side: usize, score: f64, clip: ClipId, offset: usize) -> Self {
         let signed = if side == TOP { score } else { -score };
         Self {
             key: signed + 0.0,
             clip,
-            slot,
+            offset,
         }
     }
 }
@@ -437,20 +233,20 @@ struct Side {
     stamp: usize,
     /// Fresh common clips seen in all tables but not yet delivered.
     fresh_common: usize,
-    /// Slots seen (in any table) by this side but not yet scored.
+    /// Offsets seen (in any table) by this side but not yet scored.
     unscored: Vec<usize>,
     /// Scored candidates awaiting delivery.
     pending: BinaryHeap<Pending>,
 }
 
 impl Side {
-    /// A side that has read nothing, with room for `rows` clips.
-    fn new(rows: usize) -> Self {
+    /// A side that has read nothing, with room for `clips` candidates.
+    fn new(clips: usize) -> Self {
         Self {
             stamp: 0,
             fresh_common: 0,
-            unscored: Vec::with_capacity(rows),
-            pending: BinaryHeap::with_capacity(rows),
+            unscored: Vec::with_capacity(clips),
+            pending: BinaryHeap::with_capacity(clips),
         }
     }
 }
@@ -459,36 +255,52 @@ impl Side {
 pub(crate) struct TbClip<'t, 'q> {
     tables: &'q QueryTables<'t>,
     scoring: &'q dyn ScoringModel,
+    index: CandidateIndex,
+    num_tables: usize,
     max_len: usize,
-    slots: Slots,
+    /// Per-clip state, by candidate offset.
+    clips: Vec<ClipState>,
+    /// `num_tables` scores per candidate offset: the row score a
+    /// sorted/reverse access revealed for that table, if any (the top-k
+    /// access model yields `(cid, score)` pairs, so completing a clip's
+    /// score only needs random accesses into the tables that have *not*
+    /// shown it yet).
+    revealed: Vec<Option<f64>>,
     sides: [Side; 2],
     /// Random lookups avoided by the skip predicate (see [`Self::elided`]).
     elided: u64,
 }
 
 impl<'t, 'q> TbClip<'t, 'q> {
-    /// Creates the iterator over the query's tables.
-    pub fn new(tables: &'q QueryTables<'t>, scoring: &'q dyn ScoringModel) -> Self {
-        // Each row reveals at most one clip, so no run interns more clips
-        // than the tables hold rows (finalization reads aside).
-        let rows = tables.total_len();
+    /// Creates the iterator over the query's tables and candidates `pq`.
+    pub(crate) fn new(
+        tables: &'q QueryTables<'t>,
+        pq: &SequenceSet,
+        scoring: &'q dyn ScoringModel,
+    ) -> Self {
+        let clips = conv::capacity_hint(pq.total_clips());
+        let num_tables = tables.num_tables();
         Self {
             tables,
             scoring,
+            index: CandidateIndex::new(pq),
+            num_tables,
             max_len: tables.max_len(),
-            slots: Slots::new(tables.num_tables(), rows),
-            sides: [Side::new(rows), Side::new(rows)],
+            clips: vec![ClipState::default(); clips],
+            revealed: vec![None; clips.saturating_mul(num_tables)],
+            sides: [Side::new(clips), Side::new(clips)],
             elided: 0,
         }
     }
 
     /// Random row lookups avoided because the skip predicate excused a seen
-    /// clip from score completion: the lookups that [`Self::clip_score_cached`]
-    /// would have issued at the moment the clip was first skipped. If a
-    /// skipped clip's exact score is requested later anyway, whatever its
-    /// remaining tables still have not revealed is re-paid (and then counted
-    /// in [`AccessStats::random`] as usual).
-    pub fn elided(&self) -> u64 {
+    /// candidate clip from score completion: the lookups that
+    /// [`Self::clip_score_cached`] would have issued at the moment the clip
+    /// was first skipped. If a skipped clip's exact score is requested later
+    /// anyway, whatever its remaining tables still have not revealed is
+    /// re-paid (and then counted in [`AccessStats::random`] as usual).
+    /// Clips outside `P_q` are never scored and bill nothing.
+    pub(crate) fn elided(&self) -> u64 {
         self.elided
     }
 
@@ -496,37 +308,47 @@ impl<'t, 'q> TbClip<'t, 'q> {
     /// completing the per-table scores: tables that already revealed the
     /// clip through sorted/reverse access contribute their cached row
     /// score; only the remaining tables cost a random access each (used by
-    /// both delivery scoring and RVAQ's exact-score finalization).
+    /// both delivery scoring and RVAQ's exact-score finalization). A clip
+    /// outside `P_q` has no state to cache its score in.
     pub(crate) fn clip_score_cached(&mut self, clip: ClipId) -> f64 {
-        let slot = self.slots.intern(clip);
-        self.score_slot(slot)
+        match self.index.get(clip) {
+            Some((_, offset)) => {
+                self.clips[offset].clip = clip;
+                self.score_at(offset)
+            }
+            None => self.tables.clip_score(clip, self.scoring),
+        }
     }
 
-    fn score_slot(&mut self, slot: usize) -> f64 {
-        let st = self.slots.clips[slot];
+    fn revealed(&self, offset: usize) -> &[Option<f64>] {
+        &self.revealed[offset * self.num_tables..(offset + 1) * self.num_tables]
+    }
+
+    fn score_at(&mut self, offset: usize) -> f64 {
+        let st = self.clips[offset];
         if st.scored {
             return st.score;
         }
         let s = self
             .tables
-            .complete_score(st.clip, self.slots.revealed(slot), self.scoring);
-        let st = &mut self.slots.clips[slot];
+            .complete_score(st.clip, self.revealed(offset), self.scoring);
+        let st = &mut self.clips[offset];
         (st.score, st.scored) = (s, true);
         s
     }
 
-    /// Advances both sides and returns the next top/bottom clips. `skip`
-    /// realizes `C_skip`; skipped clips are neither scored nor returned.
-    /// `C_skip` may only grow from one call to the next: a clip once
-    /// skipped must stay skipped.
-    pub fn next(&mut self, skip: &dyn Fn(ClipId) -> bool) -> TbStep {
+    /// Advances both sides and returns the next top/bottom clips.
+    /// `skip(i)` says whether `C_skip` holds `P_q`'s sequence `i`; its
+    /// clips are neither scored nor returned. `C_skip` may only grow from
+    /// one call to the next: a sequence once skipped must stay skipped.
+    pub(crate) fn next(&mut self, skip: &dyn Fn(usize) -> bool) -> TbStep {
         let top = self.advance_side(skip, TOP);
         let btm = self.advance_side(skip, BTM);
         TbStep { top, btm }
     }
 
-    fn advance_side(&mut self, skip: &dyn Fn(ClipId) -> bool, side: usize) -> Option<ScoreRow> {
-        let num_tables = self.slots.num_tables;
+    fn advance_side(&mut self, skip: &dyn Fn(usize) -> bool, side: usize) -> Option<Delivery> {
+        let num_tables = self.num_tables;
 
         // Step 1: sorted (or reverse) access in parallel until a fresh
         // common clip appears or the tables are exhausted.
@@ -541,15 +363,20 @@ impl<'t, 'q> TbClip<'t, 'q> {
                 } else {
                     table.reverse_access(row_idx)
                 };
-                let Some(row) = row else { continue };
-                let slot = self.slots.intern(row.clip);
-                self.slots.revealed[slot * num_tables + ti] = Some(row.score);
-                let st = &mut self.slots.clips[slot];
+                // A clip outside `P_q` is in `C_skip` from the start.
+                let Some((row, (sequence, offset))) =
+                    row.and_then(|row| Some((row, self.index.get(row.clip)?)))
+                else {
+                    continue;
+                };
+                self.revealed[offset * num_tables + ti] = Some(row.score);
+                let st = &mut self.clips[offset];
+                (st.clip, st.sequence) = (row.clip, sequence);
                 if st.seen[side] == 0 {
-                    sd.unscored.push(slot);
+                    sd.unscored.push(offset);
                 }
                 st.seen[side] += 1;
-                if st.seen[side] == num_tables && !st.processed[side] && !st.skipped(skip) {
+                if st.seen[side] == num_tables && !st.processed[side] && !skip(sequence) {
                     sd.fresh_common += 1;
                 }
             }
@@ -557,29 +384,24 @@ impl<'t, 'q> TbClip<'t, 'q> {
 
         // Step 2: random accesses for every seen-but-unscored clip.
         let mut unscored = std::mem::take(&mut self.sides[side].unscored);
-        for &slot in &unscored {
-            let clip = self.slots.clips[slot].clip;
-            if self.slots.clips[slot].skipped(skip) {
+        for &offset in &unscored {
+            let st = self.clips[offset];
+            if skip(st.sequence) {
                 // Never scored: no random-access overhead. Account the
                 // lookups completion would have cost right now (once per
                 // clip even when both sides skip it).
-                if !self.slots.clips[slot].elided {
-                    self.slots.clips[slot].elided = true;
-                    let avoided = self
-                        .slots
-                        .revealed(slot)
-                        .iter()
-                        .filter(|s| s.is_none())
-                        .count();
+                if !st.elided {
+                    self.clips[offset].elided = true;
+                    let avoided = self.revealed(offset).iter().filter(|s| s.is_none()).count();
                     self.elided += conv::len_u64(avoided);
                 }
                 continue;
             }
-            let score = self.score_slot(slot);
-            if !self.slots.clips[slot].processed[side] {
+            let score = self.score_at(offset);
+            if !st.processed[side] {
                 self.sides[side]
                     .pending
-                    .push(Pending::new(side, score, clip, slot));
+                    .push(Pending::new(side, score, st.clip, offset));
             }
         }
         unscored.clear();
@@ -590,15 +412,20 @@ impl<'t, 'q> TbClip<'t, 'q> {
         let sd = &mut self.sides[side];
         let best = loop {
             let cand = sd.pending.pop()?;
-            if !self.slots.clips[cand.slot].skipped(skip) {
+            if !skip(self.clips[cand.offset].sequence) {
                 break cand;
             }
         };
-        self.slots.clips[best.slot].processed[side] = true;
         sd.fresh_common = sd.fresh_common.saturating_sub(1);
-        Some(ScoreRow {
-            clip: best.clip,
-            score: self.slots.clips[best.slot].score,
+        let st = &mut self.clips[best.offset];
+        st.processed[side] = true;
+        Some(Delivery {
+            row: ScoreRow {
+                clip: st.clip,
+                score: st.score,
+            },
+            sequence: st.sequence,
+            first: !st.processed[1 - side],
         })
     }
 }
@@ -608,6 +435,7 @@ mod tests {
     use super::*;
     use crate::offline::scoring::PaperScoring;
     use vaq_storage::{CostModel, MemTable};
+    use vaq_types::ClipInterval;
 
     fn table(rows: &[(u64, f64)]) -> MemTable {
         MemTable::new(
@@ -621,12 +449,23 @@ mod tests {
         )
     }
 
+    fn set(ivs: &[(u64, u64)]) -> SequenceSet {
+        SequenceSet::from_intervals(ivs.iter().map(|&(s, e)| ClipInterval::new(s, e)).collect())
+    }
+
     /// Two tables over clips 0..5; g = action * sum(objects).
     fn setup() -> (MemTable, MemTable) {
         let action = table(&[(0, 1.0), (1, 5.0), (2, 3.0), (3, 2.0), (4, 4.0)]);
         let object = table(&[(0, 2.0), (1, 1.0), (2, 2.0), (3, 3.0), (4, 1.0)]);
         (action, object)
     }
+
+    /// Every clip of [`setup`] as one candidate sequence.
+    fn all_clips() -> SequenceSet {
+        set(&[(0, 4)])
+    }
+
+    const NO_SKIP: &dyn Fn(usize) -> bool = &|_| false;
 
     // g-scores: c0=2, c1=5, c2=6, c3=6, c4=4.
 
@@ -638,20 +477,19 @@ mod tests {
             objects: vec![&o],
         };
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let no_skip = |_c: ClipId| false;
+        let mut tb = TbClip::new(&tables, &all_clips(), &scoring);
         let mut tops = Vec::new();
         let mut btms = Vec::new();
         loop {
-            let step = tb.next(&no_skip);
+            let step = tb.next(NO_SKIP);
             if step.top.is_none() && step.btm.is_none() {
                 break;
             }
             if let Some(t) = step.top {
-                tops.push(t.score);
+                tops.push(t.row.score);
             }
             if let Some(b) = step.btm {
-                btms.push(b.score);
+                btms.push(b.row.score);
             }
         }
         assert_eq!(tops.len(), 5);
@@ -670,13 +508,16 @@ mod tests {
             objects: vec![&o],
         };
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let no_skip = |_c: ClipId| false;
+        let mut tb = TbClip::new(&tables, &all_clips(), &scoring);
         let mut top_clips = Vec::new();
+        let mut firsts = 0;
         for _ in 0..10 {
-            let step = tb.next(&no_skip);
+            let step = tb.next(NO_SKIP);
+            for d in [step.top, step.btm].into_iter().flatten() {
+                firsts += usize::from(d.first);
+            }
             if let Some(t) = step.top {
-                top_clips.push(t.clip);
+                top_clips.push(t.row.clip);
             }
         }
         let mut dedup = top_clips.clone();
@@ -684,45 +525,72 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), top_clips.len(), "duplicates in {top_clips:?}");
         assert_eq!(top_clips.len(), 5);
+        assert_eq!(firsts, 5, "each clip's first delivery is marked once");
     }
 
     #[test]
-    fn skipped_clips_are_never_scored_or_returned() {
+    fn clips_outside_pq_are_never_scored_or_returned() {
         let (a, o) = setup();
         let tables = QueryTables {
             action: &a,
             objects: vec![&o],
         };
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        // Skip clips 2 and 3 (the two best).
-        let skip = |c: ClipId| c.raw() == 2 || c.raw() == 3;
-        let step = tb.next(&skip);
-        assert_eq!(step.top.unwrap().score, 5.0, "c1 is best non-skipped");
-        let random_before = tables.stats().random;
-        // Scoring skipped clips would have cost 2 tables × 2 clips = 4 more.
-        assert_eq!(random_before % 2, 0);
-        let mut clips_seen = vec![step.top.unwrap().clip];
+        // Clips 2 and 3 (the two best) lie outside P_q.
+        let pq = set(&[(0, 1), (4, 4)]);
+        let mut tb = TbClip::new(&tables, &pq, &scoring);
+        let step = tb.next(NO_SKIP);
+        let top = step.top.unwrap();
+        assert_eq!(
+            (top.row.score, top.sequence),
+            (5.0, 0),
+            "c1 is the best candidate"
+        );
+        let mut clips_seen = vec![top.row.clip];
         loop {
-            let step = tb.next(&skip);
+            let step = tb.next(NO_SKIP);
             match step.top {
-                Some(t) => clips_seen.push(t.clip),
+                Some(t) => clips_seen.push(t.row.clip),
                 None => break,
             }
         }
-        assert!(clips_seen.iter().all(|c| c.raw() != 2 && c.raw() != 3));
-        // In this workload the shared row stamp reveals the skipped clips in
-        // both tables before they are excused from scoring, so no lookup was
-        // actually avoided — the elision counter must bill nothing.
-        assert_eq!(tb.elided(), 0, "skips of fully-revealed clips cost nothing");
+        assert!(clips_seen.iter().all(|c| pq.contains(*c)), "{clips_seen:?}");
+        assert_eq!(clips_seen.len(), 3);
+        // Only the three candidates were completed, one lookup at most into
+        // each table apiece, and the rows of the others bill no elision.
+        assert!(tables.stats().random <= 6);
+        assert_eq!(tb.elided(), 0, "clips outside P_q are not elisions");
+        assert_eq!(tb.clips.len(), 3, "state for the candidates only");
+    }
+
+    #[test]
+    fn skipped_sequences_are_never_scored_or_returned() {
+        let (a, o) = setup();
+        let tables = QueryTables {
+            action: &a,
+            objects: vec![&o],
+        };
+        let scoring = PaperScoring;
+        let pq = set(&[(0, 1), (3, 4)]);
+        // Skip sequence 1, clips 3 and 4.
+        let skip = |i: usize| i == 1;
+        let mut clips_seen = Vec::new();
+        let mut tb = TbClip::new(&tables, &pq, &scoring);
+        while let Some(t) = tb.next(&skip).top {
+            assert_eq!(t.sequence, 0);
+            clips_seen.push(t.row.clip.raw());
+        }
+        assert_eq!(clips_seen, [1, 0]);
+        // Only clips 0 and 1 were completed.
+        assert!(tables.stats().random <= 4);
     }
 
     #[test]
     fn elided_lookups_are_billed_once_per_partially_revealed_clip() {
         // Anti-correlated table orders: clip 0 tops the action table but
         // bottoms the object table, so when the top scan first sees it only
-        // one of its two slots is revealed. Skipping it then avoids exactly
-        // one random lookup.
+        // one of its two tables has revealed it. Skipping its sequence then
+        // avoids exactly one random lookup.
         let action = table(&[(0, 5.0), (1, 4.0), (2, 3.0), (3, 2.0), (4, 1.0)]);
         let object = table(&[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)]);
         let tables = QueryTables {
@@ -730,12 +598,14 @@ mod tests {
             objects: vec![&object],
         };
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let skip = |c: ClipId| c.raw() == 0;
+        let pq = set(&[(0, 0), (2, 4)]);
+        let mut tb = TbClip::new(&tables, &pq, &scoring);
+        let skip = |i: usize| i == 0;
         let step = tb.next(&skip);
         assert!(step.top.is_some());
-        assert_eq!(tb.elided(), 1, "one unrevealed slot avoided for clip 0");
-        // Draining the iterator never re-bills the same clip.
+        assert_eq!(tb.elided(), 1, "one unrevealed table avoided for clip 0");
+        // Draining the iterator never re-bills the same clip, and clip 1,
+        // outside P_q, bills nothing.
         while tb.next(&skip).top.is_some() {}
         assert_eq!(tb.elided(), 1);
     }
@@ -762,9 +632,8 @@ mod tests {
         };
         tables.reset_stats();
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let no_skip = |_c: ClipId| false;
-        let _ = tb.next(&no_skip);
+        let mut tb = TbClip::new(&tables, &all_clips(), &scoring);
+        let _ = tb.next(NO_SKIP);
         let stats = tables.stats();
         // At most 5 clips × 2 tables random accesses in total, ever.
         assert!(stats.random <= 10, "random={}", stats.random);
@@ -780,9 +649,8 @@ mod tests {
         };
         tables.reset_stats();
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let no_skip = |_c: ClipId| false;
-        while tb.next(&no_skip).top.is_some() {}
+        let mut tb = TbClip::new(&tables, &all_clips(), &scoring);
+        while tb.next(NO_SKIP).top.is_some() {}
         let after_drain = tables.stats().random;
         // Finalization reads must hit the cache.
         let _ = tb.clip_score_cached(ClipId::new(2));
@@ -797,65 +665,47 @@ mod tests {
             objects: vec![&o],
         };
         let scoring = PaperScoring;
-        let mut tb = TbClip::new(&tables, &scoring);
-        let no_skip = |_c: ClipId| false;
+        let mut tb = TbClip::new(&tables, &all_clips(), &scoring);
         for _ in 0..5 {
-            assert!(tb.next(&no_skip).top.is_some());
+            assert!(tb.next(NO_SKIP).top.is_some());
         }
-        let step = tb.next(&no_skip);
+        let step = tb.next(NO_SKIP);
         assert_eq!(step.top, None);
         assert_eq!(step.btm, None);
     }
 
     #[test]
-    fn dense_slots_hold_the_span_dense_span_admits() {
-        // Three rows admit a span of twelve ids, in an array of sixteen.
-        let mut d = DenseSlots::new(3).unwrap();
-        assert_eq!(d.tags.len(), 16);
-        assert_eq!(d.slot(100, 0), Some(0));
-        assert_eq!(d.slot(111, 1), Some(1), "gap 11 fits");
-        assert_eq!(d.slot(100, 2), Some(0), "already interned");
-        assert_eq!(d.slot(105, 2), Some(2), "inside the span, not yet seen");
-        assert_eq!(d.slot(112, 3), None, "gap 12 is too wide");
-        assert_eq!(d.slot(99, 3), None, "so is one below");
-        assert_eq!(d.slot(116, 3), None, "shares 100's entry, outside the span");
-        assert_eq!((d.lo, d.hi), (100, 111), "a refused id leaves the span");
-        assert!(DenseSlots::new(0).is_none());
-        assert!(matches!(SlotIndex::new(0), SlotIndex::Map(_)));
-    }
-
-    #[test]
-    fn slots_move_to_the_map_when_ids_spread() {
-        // g = action × 1 over clips {0, 1, last}.
+    fn far_apart_candidates_keep_their_offsets() {
+        // g = action × 1 over clips {0, 1, last}; near ids give the
+        // candidate index's array, far ones its binary search.
         let rows = |last| table(&[(0, 1.0), (1, 5.0), (last, 3.0)]);
         let ones = |last| table(&[(0, 1.0), (1, 1.0), (last, 1.0)]);
-        let (near, near_ones) = (rows(2), ones(2));
-        let (far, far_ones) = (rows(1 << 40), ones(1 << 40));
         let scoring = PaperScoring;
-        let no_skip = |_c: ClipId| false;
-        for (t, o, dense) in [(&near, &near_ones, true), (&far, &far_ones, false)] {
+        for last in [2, 1 << 40] {
+            let (t, o) = (rows(last), ones(last));
             let tables = QueryTables {
-                action: t,
-                objects: vec![o],
+                action: &t,
+                objects: vec![&o],
             };
-            let mut tb = TbClip::new(&tables, &scoring);
+            let pq = set(&[(0, 1), (last, last)]);
+            let mut tb = TbClip::new(&tables, &pq, &scoring);
             let mut tops = Vec::new();
-            while let Some(top) = tb.next(&no_skip).top {
-                tops.push((top.clip.raw(), top.score));
+            while let Some(top) = tb.next(NO_SKIP).top {
+                tops.push((top.row.clip.raw(), top.row.score));
             }
-            assert_eq!(tops[0], (1, 5.0));
-            assert_eq!(tops.len(), 3);
-            assert_eq!(matches!(tb.slots.index, SlotIndex::Dense(_)), dense);
-            // Every slot is found again in either form.
+            assert_eq!(tops, [(1, 5.0), (last, 3.0), (0, 1.0)]);
+            // Every candidate's state is found again by its offset.
+            let random = tables.stats().random;
             for (clip, score) in tops {
                 assert_eq!(tb.clip_score_cached(ClipId::new(clip)), score);
             }
-            assert_eq!(tb.slots.clips.len(), 3);
+            assert_eq!(tables.stats().random, random);
+            assert_eq!(tb.clips.len(), 3);
         }
     }
 
     mod differential {
-        //! The slot/heap iterator against the ordered-map reference.
+        //! The offset/heap iterator against the ordered-map reference.
         use super::super::reference;
         use super::*;
         use crate::offline::scoring::MaxScoring;
@@ -865,10 +715,9 @@ mod tests {
 
         /// Clip ids: contiguous from 0, sparse with wide strides,
         /// clustered at the top of the `u64` range, or contiguous from 0
-        /// plus one to three outliers far beyond the dense slot index's
-        /// reach (`DenseSlots`), so that a run starts with the array and
-        /// moves to the map when the first outlier (or, if an outlier comes
-        /// first, the first contiguous id) is revealed.
+        /// plus one to three outliers far beyond what a dense
+        /// [`CandidateIndex`] spans, so that all but the first mode look
+        /// candidates up by binary search.
         fn clip_ids(rng: &mut SeededRng, n: u64, mode: u8) -> Vec<ClipId> {
             let outliers = if mode == 3 {
                 (n - 1).min(rng.gen_range(1..4u64))
@@ -1007,6 +856,24 @@ mod tests {
             }
         }
 
+        /// `P_q` over `ids`: each id a candidate with probability 4/5
+        /// (consecutive candidates merge into one sequence), plus one clip
+        /// no table holds.
+        fn candidates(rng: &mut SeededRng, ids: &[ClipId]) -> SequenceSet {
+            let last = ids[ids.len() - 1].raw();
+            let absent = last.checked_add(2).unwrap_or_else(|| ids[0].raw() - 2);
+            let chosen = ids
+                .iter()
+                .map(|c| c.raw())
+                .filter(|_| rng.gen_range(0..5u32) != 0);
+            SequenceSet::from_intervals(
+                chosen
+                    .chain(std::iter::once(absent))
+                    .map(|c| ClipInterval::new(c, c))
+                    .collect(),
+            )
+        }
+
         fn query<T: ClipScoreTable>(tables: &[T]) -> QueryTables<'_> {
             QueryTables {
                 action: &tables[0],
@@ -1017,8 +884,8 @@ mod tests {
             }
         }
 
-        fn bits(step: TbStep) -> [Option<(ClipId, u64)>; 2] {
-            [step.top, step.btm].map(|r| r.map(|r| (r.clip, r.score.to_bits())))
+        fn bits(rows: [Option<ScoreRow>; 2]) -> [Option<(ClipId, u64)>; 2] {
+            rows.map(|r| r.map(|r| (r.clip, r.score.to_bits())))
         }
 
         /// Every [`AccessStats`] field of the run so far, with the
@@ -1042,6 +909,7 @@ mod tests {
             let mut rng = SeededRng::seed_from_u64(seed);
             let ids = clip_ids(&mut rng, n, id_mode);
             let rows = tables(&mut rng, &ids, num_tables, levels, anti);
+            let pq = candidates(&mut rng, &ids);
             let old_tables: Vec<ScanTable> = rows.iter().map(|r| ScanTable::new(r)).collect();
             let new_tables = mem_tables(&rows);
             let (old_q, new_q) = (query(&old_tables), query(&new_tables));
@@ -1050,20 +918,26 @@ mod tests {
             } else {
                 &PaperScoring
             };
-            let mut old = reference::TbClip::new(&old_q, scoring);
-            let mut new = TbClip::new(&new_q, scoring);
-            // C_skip starts as a random subset and only grows.
-            let mut skipped: BTreeSet<ClipId> = ids
-                .iter()
-                .copied()
+            let mut old = reference::TbClip::new(&old_q, &pq, scoring);
+            let mut new = TbClip::new(&new_q, &pq, scoring);
+            // Beyond the clips outside P_q, C_skip starts as a random
+            // subset of its sequences and only grows.
+            let mut skipped: BTreeSet<usize> = (0..pq.len())
                 .filter(|_| rng.gen_range(0..5u32) == 0)
                 .collect();
-            let pick = |rng: &mut SeededRng| ids[rng.gen_range(0..ids.len())];
+            let clips: Vec<ClipId> = pq.clips().collect();
+            let pick = |rng: &mut SeededRng| clips[rng.gen_range(0..clips.len())];
+            let mut delivered = BTreeSet::new();
             let mut idle = 0;
             for step in 0..4 * n + 8 {
-                let skip = |c: ClipId| skipped.contains(&c);
-                let (a, b) = (old.next(&skip), new.next(&skip));
-                assert_eq!(bits(a), bits(b), "step {step}");
+                let skip_clip = |c: ClipId| pq.find(c).is_none_or(|i| skipped.contains(&i));
+                let (a, b) = (old.next(&skip_clip), new.next(&|i| skipped.contains(&i)));
+                let b_rows = [b.top, b.btm].map(|d| d.map(|d| d.row));
+                assert_eq!(bits([a.top, a.btm]), bits(b_rows), "step {step}");
+                for d in [b.top, b.btm].into_iter().flatten() {
+                    assert_eq!(Some(d.sequence), pq.find(d.row.clip), "step {step}");
+                    assert_eq!(d.first, delivered.insert(d.row.clip), "step {step}");
+                }
                 assert_eq!(
                     counts(&old_q, old.elided()),
                     counts(&new_q, new.elided()),
@@ -1080,7 +954,7 @@ mod tests {
                     );
                 }
                 for _ in 0..rng.gen_range(0..3u32) {
-                    skipped.insert(pick(&mut rng));
+                    skipped.insert(rng.gen_range(0..pq.len()));
                 }
                 idle = if a.top.is_none() && a.btm.is_none() {
                     idle + 1
@@ -1091,21 +965,18 @@ mod tests {
                     break;
                 }
             }
-            // Finalization reads: every clip, plus one no table holds.
-            let absent = ClipId::new(ids[0].raw() ^ 1);
-            for &c in ids.iter().chain(std::iter::once(&absent)) {
+            // Finalization reads: every candidate clip, one of which no
+            // table holds.
+            for &c in &clips {
                 let (sa, sb) = (old.clip_score_cached(c), new.clip_score_cached(c));
                 assert_eq!(sa.to_bits(), sb.to_bits(), "cached score of {c}");
             }
             assert_eq!(counts(&old_q, old.elided()), counts(&new_q, new.elided()));
-            if id_mode == 3 && n > 1 {
-                // Outliers and contiguous ids were all interned above.
-                assert!(matches!(new.slots.index, SlotIndex::Map(_)));
-            }
         }
 
         /// Same steps, accesses, elisions and cached scores as the
-        /// reference, bit for bit, under a growing skip set.
+        /// reference, bit for bit, under a growing skip set; every delivery
+        /// names its sequence and whether it is the clip's first.
         #[test]
         fn prop_matches_reference_bitwise() -> Result<(), String> {
             for_cases(

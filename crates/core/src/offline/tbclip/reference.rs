@@ -1,21 +1,32 @@
-//! The ordered-map TBClip, kept verbatim as a differential oracle.
+//! The ordered-map TBClip, kept as a differential oracle.
 //!
-//! Before per-clip state moved to dense slots and delivery to per-side
-//! heaps, [`super::TbClip`] kept every per-clip fact in `BTreeMap`s and
-//! `BTreeSet`s and picked each delivery by a linear scan over the pending
+//! Before per-clip state moved to vectors indexed by candidate offset and
+//! delivery to per-side heaps, [`super::TbClip`] kept every per-clip fact
+//! in `BTreeMap`s and `BTreeSet`s, keyed by clip id for every clip a scan
+//! revealed, and picked each delivery by a linear scan over the pending
 //! set. This module is that code, unchanged but for crate-private
-//! visibility; the tests assert that the public iterator produces the same
-//! steps, accesses, elisions and cached scores, bit for bit.
+//! visibility and one rule: it bills elided lookups only for clips of
+//! `P_q`, as the iterator does, which keeps no state for the others. The
+//! tests assert that the iterator produces the same steps, accesses,
+//! elisions and cached scores, bit for bit.
 
-use super::{QueryTables, TbStep};
+use super::QueryTables;
 use crate::offline::scoring::ScoringModel;
 use std::collections::{BTreeMap, BTreeSet};
 use vaq_storage::ScoreRow;
-use vaq_types::ClipId;
+use vaq_types::{ClipId, SequenceSet};
+
+/// One iterator step: the next top and bottom clips.
+pub(crate) struct TbStep {
+    pub(crate) top: Option<ScoreRow>,
+    pub(crate) btm: Option<ScoreRow>,
+}
 
 /// Iterator state (see module docs).
 pub(crate) struct TbClip<'t, 'q> {
     tables: &'q QueryTables<'t>,
+    /// The candidates: only their skipped clips bill elided lookups.
+    pq: &'q SequenceSet,
     scoring: &'q dyn ScoringModel,
     stamp_top: usize,
     stamp_btm: usize,
@@ -52,9 +63,14 @@ pub(crate) struct TbClip<'t, 'q> {
 
 impl<'t, 'q> TbClip<'t, 'q> {
     /// Creates the iterator over the query's tables.
-    pub(crate) fn new(tables: &'q QueryTables<'t>, scoring: &'q dyn ScoringModel) -> Self {
+    pub(crate) fn new(
+        tables: &'q QueryTables<'t>,
+        pq: &'q SequenceSet,
+        scoring: &'q dyn ScoringModel,
+    ) -> Self {
         Self {
             tables,
+            pq,
             scoring,
             stamp_top: 0,
             stamp_btm: 0,
@@ -185,7 +201,7 @@ impl<'t, 'q> TbClip<'t, 'q> {
                 // Never scored: no random-access overhead. Account the
                 // lookups completion would have cost right now (once per
                 // clip even when both sides skip it).
-                if self.elided_clips.insert(clip) {
+                if self.pq.contains(clip) && self.elided_clips.insert(clip) {
                     let avoided = self
                         .partial
                         .get(&clip)

@@ -58,8 +58,10 @@ pub struct AccessStats {
     pub reverse: u64,
     /// Random row lookups.
     pub random: u64,
-    /// Random row lookups *avoided* by a skip predicate: a seen clip was
-    /// passed without the completing lookups its scoring would have cost.
+    /// Random row lookups *avoided* by a skip predicate: a seen candidate
+    /// clip was passed without the completing lookups its scoring would
+    /// have cost (a clip outside the candidates is never scored, so it
+    /// counts nothing).
     /// Tables never observe skips, so this is filled in by the consumer
     /// (TBClip) rather than by `AccessCounters`.
     pub elided: u64,

@@ -52,4 +52,4 @@ pub use ids::{ActionType, ClipId, FrameId, ObjectType, ShotId, TrackId, VideoId}
 pub use interval::{ClipInterval, SequenceSet};
 pub use query::{DurationUnit, Query};
 pub use timing::VideoGeometry;
-pub use vocab::{Vocabulary, VocabularyKind};
+pub use vocab::Vocabulary;

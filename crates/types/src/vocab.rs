@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 /// Which universe a vocabulary names; used in diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VocabularyKind {
+pub(crate) enum VocabularyKind {
     /// Object types (the paper's `O`).
     Object,
     /// Action categories (the paper's `A`).

@@ -175,8 +175,13 @@ fn emit_pub_item(
         }
         "use" | "mod" | "static" | "type" | "const" => {
             let stop_at_eq = matches!(kw.text.as_str(), "static" | "type" | "const");
+            // A `use` tree's braces are part of the item: only `;` ends it.
+            let stop_at_brace = kw.text != "use";
             let mut j = k;
-            while j < toks.len() && !toks[j].is_punct(';') && !toks[j].is_punct('{') {
+            while j < toks.len()
+                && !toks[j].is_punct(';')
+                && !(stop_at_brace && toks[j].is_punct('{'))
+            {
                 if stop_at_eq && toks[j].is_punct('=') {
                     break;
                 }
@@ -459,6 +464,24 @@ mod tests {
         assert!(api.iter().any(|l| l.contains("E::B ( u32 )")));
         assert!(api.iter().any(|l| l.contains("T::fn req")));
         assert!(api.iter().any(|l| l.contains("T::fn def")));
+    }
+
+    #[test]
+    fn braced_use_trees_are_rendered_whole() {
+        let both = api_of("vaq-x", "pub use vocab::{Vocabulary, VocabularyKind};\n");
+        assert_eq!(both, ["vaq-x use vocab :: { Vocabulary , VocabularyKind }"]);
+        let nested = api_of("vaq-x", "pub use a::{b::{C, D}, E};\npub fn f() {}\n");
+        assert_eq!(
+            nested,
+            ["vaq-x fn f ( )", "vaq-x use a :: { b :: { C , D } , E }"],
+            "the tree's braces open no block"
+        );
+        // Dropping a name from a braced list shows in the diff.
+        let one = api_of("vaq-x", "pub use vocab::{Vocabulary};\n");
+        let snapshot = |lines: Vec<String>| crate::snapshot::Snapshot::new(lines);
+        let diff = snapshot(one).diff(&snapshot(both.clone()));
+        assert_eq!(diff.removed, both);
+        assert_eq!(diff.added, ["vaq-x use vocab :: { Vocabulary }"]);
     }
 
     #[test]

@@ -32,12 +32,15 @@
 //! one frame scope of it (`ObjectDetector::with_frames`), so the engine
 //! bound also checks that opening a scope allocates nothing.
 //!
-//! An offline RVAQ run is bounded too: TBClip sizes its per-clip state,
-//! its two sides' buffers and its dense slot index from the tables' row
-//! count when it starts, and RVAQ sizes its own per-run vectors from
-//! `P_q`, so a warm run over [`MemTable`]s allocates a fixed number of
-//! blocks, the same over 200 rows per table as over 2,000. A buffer that
-//! grew row by row would reallocate more often over the longer tables.
+//! An offline RVAQ run is bounded too: TBClip keeps state only for the
+//! clips of `P_q`, and sizes it, its two sides' buffers and its candidate
+//! index from `P_q` when it starts; RVAQ sizes its own per-run vectors
+//! from `P_q` as well. So a warm run over [`MemTable`]s allocates a fixed
+//! number of blocks, the same over 200 rows per table as over 2,000 (a
+//! buffer that grew row by row would reallocate more often over the
+//! longer tables), and its bytes are bounded per candidate clip and
+//! sequence, whatever the tables' row counts (state sized from the rows
+//! would exceed the bound).
 
 // A `GlobalAlloc` impl is `unsafe` by definition; this one only counts
 // and forwards every call to `System`.
@@ -62,14 +65,28 @@ struct Counting;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static COUNT: Cell<u64> = const { Cell::new(0) };
+    static COUNT: Cell<Allocs> = const { Cell::new(Allocs { blocks: 0, bytes: 0 }) };
 }
 
-fn note() {
+/// Blocks allocated or reallocated, and the bytes asked for in them.
+#[derive(Debug, Clone, Copy)]
+struct Allocs {
+    blocks: u64,
+    bytes: u64,
+}
+
+/// Counts one block of `size` bytes.
+fn note(size: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let on = COUNTING.try_with(Cell::get).unwrap_or(false);
     if on {
-        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+        let _ = COUNT.try_with(|c| {
+            let Allocs { blocks, bytes } = c.get();
+            c.set(Allocs {
+                blocks: blocks + 1,
+                bytes: bytes + size as u64,
+            });
+        });
     }
 }
 
@@ -80,17 +97,17 @@ fn note() {
 // neither allocate nor re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -104,8 +121,13 @@ static ALLOCATOR: Counting = Counting;
 
 /// Runs `f` and returns its result with the allocations it made on this
 /// thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    COUNT.with(|c| c.set(0));
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
+    COUNT.with(|c| {
+        c.set(Allocs {
+            blocks: 0,
+            bytes: 0,
+        })
+    });
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
@@ -209,13 +231,13 @@ fn a_warm_clip_allocates_only_its_records() {
     let (mut materialize, mut engine_allocs) = (0, 0);
     for c in WARM..WARM + MEASURED {
         let (clip, n) = counted(|| stream.materialize(ClipId::new(c)));
-        materialize += n;
+        materialize += n.blocks;
         let ((), n) = counted(|| {
             for engine in &mut engines {
                 engine.push_clip(&clip);
             }
         });
-        engine_allocs += n;
+        engine_allocs += n.blocks;
     }
 
     let growth = ENGINES * LOGS * doublings(WARM, WARM + MEASURED);
@@ -246,13 +268,22 @@ fn a_warm_clip_allocates_only_its_records() {
     assert!(cache.stats().detector_hits > 0);
 }
 
-/// Blocks a TBClip allocates when it starts: its slot index, per-clip
-/// states and revealed scores, and each side's unscored list and heap.
-const TBCLIP_BLOCKS: u64 = 7;
+/// Blocks a TBClip allocates when it starts: its candidate index's two
+/// arrays, per-clip states and revealed scores, and each side's unscored
+/// list and heap.
+const TBCLIP_BLOCKS: u64 = 8;
 /// Blocks RVAQ itself allocates per run: the sequence states, the
-/// candidate index's two arrays, the known-clip bitset, the `PQ_lo^K`
-/// scratch, the final ranking and the result list.
-const RVAQ_BLOCKS: u64 = 7;
+/// `PQ_lo^K` scratch, the final ranking and the result list.
+const RVAQ_BLOCKS: u64 = 4;
+/// Bytes a run may allocate per clip of `P_q` (three tables): TBClip's
+/// state for the clip (48 bytes), its three revealed scores (16 bytes
+/// each), an entry in each side's unscored list and heap (8 and 24 bytes),
+/// and up to four slots of the candidate index (8 bytes each).
+const BYTES_PER_CANDIDATE: u64 = 48 + 3 * 16 + 2 * (8 + 24) + 4 * 8;
+/// Bytes a run may allocate per sequence of `P_q`: its bound state (56
+/// bytes), its entry in the candidate index (24), in the final ranking (8)
+/// and in the `PQ_lo^K` scratch (8), and its row in the result (24).
+const BYTES_PER_SEQUENCE: u64 = 56 + 24 + 8 + 8 + 24;
 /// Candidate sequences in `P_q` (few enough that no sort of them needs a
 /// scratch buffer) and the K asked for.
 const SEQUENCES: u64 = 10;
@@ -280,9 +311,10 @@ fn offline_fixture(rows: u64) -> (Vec<MemTable>, SequenceSet) {
     (tables, pq)
 }
 
-/// Allocations of a warm RVAQ run over `rows` rows per table, and its
-/// iterations.
-fn rvaq_allocations(rows: u64) -> (u64, u64) {
+/// Allocations of a warm RVAQ run over `rows` rows per table, its
+/// iterations, and the bytes [`BYTES_PER_CANDIDATE`] and
+/// [`BYTES_PER_SEQUENCE`] allow it.
+fn rvaq_allocations(rows: u64) -> (Allocs, u64, u64) {
     let (tables, pq) = offline_fixture(rows);
     let query = QueryTables {
         action: &tables[0],
@@ -293,23 +325,42 @@ fn rvaq_allocations(rows: u64) -> (u64, u64) {
     let (run, n) = counted(|| rvaq(&query, &pq, &PaperScoring, &opts));
     assert_eq!(run.sequences, warm.sequences);
     assert_eq!(run.sequences.len(), K);
-    (n, run.iterations)
+    let bytes = BYTES_PER_CANDIDATE * pq.total_clips() + BYTES_PER_SEQUENCE * SEQUENCES;
+    (n, run.iterations, bytes)
 }
 
 #[test]
 fn a_warm_rvaq_run_allocates_a_fixed_number_of_blocks() {
     let bound = TBCLIP_BLOCKS + RVAQ_BLOCKS;
-    let (short, short_iterations) = rvaq_allocations(200);
-    let (long, long_iterations) = rvaq_allocations(2_000);
+    let (short, short_iterations, short_bytes) = rvaq_allocations(200);
+    let (long, long_iterations, long_bytes) = rvaq_allocations(2_000);
     println!(
-        "rvaq: {short} allocations over 200 rows ({short_iterations} iterations), \
-         {long} over 2000 ({long_iterations}), bound {bound}"
+        "rvaq: {} blocks, {} bytes (bound {short_bytes}) over 200 rows ({short_iterations} \
+         iterations); {} blocks, {} bytes (bound {long_bytes}) over 2000 ({long_iterations}); \
+         block bound {bound}",
+        short.blocks, short.bytes, long.blocks, long.bytes
     );
     assert!(
-        short <= bound,
-        "{short} allocations over 200 rows, bound {bound}"
+        short.blocks <= bound,
+        "{} allocations over 200 rows, bound {bound}",
+        short.blocks
     );
-    assert_eq!(short, long, "allocations grew with the tables");
+    assert_eq!(
+        short.blocks, long.blocks,
+        "allocations grew with the tables"
+    );
     // The longer run reads more rows: a per-row growth would show.
     assert!(long_iterations > short_iterations);
+}
+
+#[test]
+fn a_warm_rvaq_run_allocates_bytes_per_candidate_not_per_row() {
+    for rows in [200, 2_000] {
+        let (n, _, bound) = rvaq_allocations(rows);
+        assert!(
+            n.bytes <= bound,
+            "{} bytes over {rows} rows per table, bound {bound} from P_q",
+            n.bytes
+        );
+    }
 }

@@ -252,8 +252,8 @@ fn rvaq_access_counts_with_and_without_planner() {
     }
     assert_eq!((queries.len(), sequences), (4, 12));
     let counts = |s: AccessStats| (s.sorted, s.reverse, s.random, s.elided);
-    assert_eq!(counts(off_stats), (70, 105, 140, 28), "planner off");
-    assert_eq!(counts(on_stats), (68, 95, 137, 29), "planner on");
+    assert_eq!(counts(off_stats), (70, 105, 140, 0), "planner off");
+    assert_eq!(counts(on_stats), (68, 95, 137, 2), "planner on");
 }
 
 /// A fault-free standing-query schedule with the planner on end to end.
